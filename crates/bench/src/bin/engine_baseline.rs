@@ -15,7 +15,6 @@
 //! vacuous pass. The process exits non-zero only on `fail`.
 
 use pa_bench::{Args, Mode};
-use pa_cluster::ShardSchedule;
 use pa_core::CoschedSetup;
 use pa_mpi::{MpiOp, OpList, RankWorkload};
 use pa_simkit::{EventQueue, SimDur, SimTime};
@@ -50,26 +49,20 @@ fn queue_scenario(batches: u32) -> Scenario {
     }
 }
 
-/// Cancel-heavy calendar throughput: the timer re-arm pattern that used
-/// to leak tombstones without bound. Each round re-arms a far-future
-/// timer per slot (cancel + schedule) and pops one near event. Runs in
-/// both queue modes and asserts the lazy fallback's compaction bound —
-/// tombstones never exceed live entries — every round.
-fn queue_cancel_scenario(rounds: u32, lazy: bool) -> Scenario {
+/// Cancel-heavy calendar throughput: the timer re-arm pattern. Each
+/// round re-arms a far-future timer per slot (cancel + schedule) and pops
+/// one near event.
+fn queue_cancel_scenario(rounds: u32) -> Scenario {
     const SLOTS: usize = 512;
     let started = Instant::now();
-    let mut q = if lazy {
-        EventQueue::<u32>::new_lazy()
-    } else {
-        EventQueue::<u32>::new()
-    };
+    let mut q = EventQueue::<u32>::new();
     let mut timers = Vec::with_capacity(SLOTS);
     let far = SimTime::from_nanos(u64::MAX / 2);
     for i in 0..SLOTS {
         timers.push(q.schedule(far, i as u32));
     }
     let mut ops = 0u64;
-    for r in 0..rounds {
+    for _ in 0..rounds {
         for (i, t) in timers.iter_mut().enumerate() {
             q.cancel(*t);
             *t = q.schedule(far, i as u32);
@@ -80,24 +73,9 @@ fn queue_cancel_scenario(rounds: u32, lazy: bool) -> Scenario {
         let _ = near;
         q.pop();
         ops += 2;
-        let live = (q.stats().scheduled - q.stats().popped - q.stats().cancelled) as usize;
-        assert!(
-            q.stats().tombstones as usize <= live.max(1),
-            "round {r}: {} tombstones exceed {live} live entries",
-            q.stats().tombstones
-        );
-        assert!(
-            q.resident_len() <= 2 * live + 1,
-            "round {r}: resident {} exceeds 2*live+1 for {live} live",
-            q.resident_len()
-        );
     }
     Scenario {
-        name: if lazy {
-            "event_queue/cancel_rearm_lazy"
-        } else {
-            "event_queue/cancel_rearm_indexed"
-        },
+        name: "event_queue/cancel_rearm_indexed",
         events: ops,
         events_per_sec: ops as f64 / started.elapsed().as_secs_f64(),
     }
@@ -150,7 +128,6 @@ struct SpeedupPoint {
     events_per_sec: f64,
     speedup: f64,
     cancelled: u64,
-    tombstones: u64,
     /// Work-stealing claims off the home stripe (wall-clock fact, varies
     /// run to run; recorded from the fastest rep).
     steals: u64,
@@ -197,11 +174,10 @@ fn thread_scaling(
     reps: u32,
 ) -> Vec<SpeedupPoint> {
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let run = |threads: usize| -> (u64, f64, u64, u64, u64) {
+    let run = |threads: usize| -> (u64, f64, u64, u64) {
         let mut events = 0u64;
         let mut wall = f64::INFINITY;
         let mut cancelled = 0u64;
-        let mut tombstones = 0u64;
         let mut steals = 0u64;
         for _ in 0..reps.max(1) {
             let mut wl = |rank: u32| -> Box<dyn RankWorkload> { cancel_heavy_wl(rank, iters) };
@@ -218,21 +194,13 @@ fn thread_scaling(
                 steals = out.sim.steals();
             }
             events = out.events;
-            let q = out.sim.queue_stats();
-            cancelled = q.cancelled;
-            tombstones = q.tombstones;
-            let live = q.scheduled - q.popped - q.cancelled;
-            assert!(
-                q.tombstones <= live.max(1),
-                "tombstones {} exceed {live} live entries at {threads} threads",
-                q.tombstones
-            );
+            cancelled = out.sim.queue_stats().cancelled;
         }
-        (events, wall, cancelled, tombstones, steals)
+        (events, wall, cancelled, steals)
     };
     let mut points: Vec<SpeedupPoint> = Vec::new();
     for &threads in threads_list {
-        let (events, wall, cancelled, tombstones, steals) = run(threads);
+        let (events, wall, cancelled, steals) = run(threads);
         if let Some(base) = points.first() {
             assert_eq!(
                 events, base.events,
@@ -256,7 +224,6 @@ fn thread_scaling(
             events_per_sec: events as f64 / wall,
             speedup: base_wall / wall,
             cancelled,
-            tombstones,
             steals,
             unreliable: host_parallelism < threads,
         });
@@ -264,17 +231,14 @@ fn thread_scaling(
     points
 }
 
-/// The skewed-load comparison: one artificially hot shard (every rank on
-/// node 0 computes ~30× longer per segment), run with the static stripe
-/// vs the stealing schedule at the same thread count. History is
-/// asserted identical; only the wall clock and the steal counter differ.
+/// The skewed-load scenario: one artificially hot shard (every rank on
+/// node 0 computes ~30× longer per segment), run by stealing workers.
+/// History is asserted identical to a serial run of the same spec; only
+/// the wall clock and the steal counter are new.
 struct SkewedLoad {
     threads: usize,
     events: u64,
-    stripe_wall_s: f64,
-    steal_wall_s: f64,
-    /// Stripe wall over steal wall: > 1 means stealing won.
-    speedup: f64,
+    wall_s: f64,
     steals: u64,
 }
 
@@ -293,7 +257,7 @@ fn skewed_wl(rank: u32, tasks: u32, iters: usize) -> Box<dyn RankWorkload> {
 }
 
 fn skewed_load(nodes: u32, tasks: u32, iters: usize, threads: usize, reps: u32) -> SkewedLoad {
-    let run = |schedule: ShardSchedule| -> (f64, u64, u64) {
+    let run = |threads: usize| -> (f64, u64, u64) {
         let mut wall = f64::INFINITY;
         let mut steals = 0u64;
         let mut events = 0u64;
@@ -304,7 +268,6 @@ fn skewed_load(nodes: u32, tasks: u32, iters: usize, threads: usize, reps: u32) 
                 .with_cpus_per_node(tasks as u8)
                 .with_seed(42)
                 .with_sim_threads(threads)
-                .with_shard_schedule(schedule)
                 .run(&mut wl);
             let w = started.elapsed().as_secs_f64();
             if w < wall {
@@ -315,19 +278,17 @@ fn skewed_load(nodes: u32, tasks: u32, iters: usize, threads: usize, reps: u32) 
         }
         (wall, steals, events)
     };
-    let (stripe_wall, stripe_steals, stripe_events) = run(ShardSchedule::Stripe);
-    assert_eq!(stripe_steals, 0, "the static stripe must never steal");
-    let (steal_wall, steals, steal_events) = run(ShardSchedule::Steal);
+    let (_, serial_steals, serial_events) = run(1);
+    assert_eq!(serial_steals, 0, "the serial engine must never steal");
+    let (wall, steals, events) = run(threads);
     assert_eq!(
-        stripe_events, steal_events,
-        "skewed-load history diverged across schedules"
+        serial_events, events,
+        "skewed-load history diverged from the serial engine"
     );
     SkewedLoad {
         threads,
-        events: steal_events,
-        stripe_wall_s: stripe_wall,
-        steal_wall_s: steal_wall,
-        speedup: stripe_wall / steal_wall,
+        events,
+        wall_s: wall,
         steals,
     }
 }
@@ -382,7 +343,6 @@ fn curve_rows(curve: &[SpeedupPoint], host_parallelism: usize) -> Vec<Value> {
                 ("events_per_sec".into(), Value::Float(p.events_per_sec)),
                 ("speedup".into(), Value::Float(p.speedup)),
                 ("cancelled".into(), Value::UInt(p.cancelled)),
-                ("tombstones".into(), Value::UInt(p.tombstones)),
                 ("steals".into(), Value::UInt(p.steals)),
                 (
                     "host_parallelism".into(),
@@ -414,8 +374,7 @@ fn main() {
         };
     let scenarios = vec![
         queue_scenario(batches),
-        queue_cancel_scenario(cancel_rounds, false),
-        queue_cancel_scenario(cancel_rounds, true),
+        queue_cancel_scenario(cancel_rounds),
         cluster_scenario(calls),
         timeline_scenario(calls),
     ];
@@ -428,7 +387,7 @@ fn main() {
     // (16-way SP nodes, §5). Serial vs 8 workers bounds the win at scale.
     let sp_curve = thread_scaling(59, 16, sp_iters, &[1, 8], scaling_reps);
     // One hot shard among 8: the noisy-node scenario the stealing order
-    // exists for. Stripe vs steal at 4 workers.
+    // exists for, at 4 workers.
     let skew = skewed_load(8, 2, skew_iters, 4, scaling_reps);
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let speedup_target = 2.0;
@@ -453,9 +412,8 @@ fn main() {
     print_curve("engine/64-node", &curve);
     print_curve("engine/944-proc", &sp_curve);
     eprintln!(
-        "  engine/skewed-load @ {} threads  stripe {:.3}s vs steal {:.3}s  \
-         ({:.2}x, {} steals)",
-        skew.threads, skew.stripe_wall_s, skew.steal_wall_s, skew.speedup, skew.steals
+        "  engine/skewed-load @ {} threads  {:.3}s  ({} steals)",
+        skew.threads, skew.wall_s, skew.steals
     );
 
     // Acceptance gates. A gate that cannot meaningfully run on this host
@@ -497,47 +455,6 @@ fn main() {
             detail: format!("64-node curve at 4 threads on a {host_parallelism}-way host"),
         }
     });
-    // Stealing must not lose to the static stripe on one hot shard.
-    // Meaningful only with real cores under the 4 workers; elsewhere the
-    // comparison is oversubscription noise and is recorded as a skip.
-    gates.push(if host_parallelism < 4 {
-        Gate {
-            name: "steal_skew_win",
-            status: "skip",
-            value: skew.speedup,
-            limit: 1.0,
-            detail: format!(
-                "host parallelism {host_parallelism} < {} workers; stripe-vs-steal \
-                 wall-clock comparison on fewer cores is noise",
-                skew.threads
-            ),
-        }
-    } else {
-        Gate {
-            name: "steal_skew_win",
-            status: if skew.speedup >= 1.0 { "pass" } else { "fail" },
-            value: skew.speedup,
-            limit: 1.0,
-            detail: format!(
-                "one hot shard at {} threads on a {host_parallelism}-way host \
-                 (stripe wall / steal wall)",
-                skew.threads
-            ),
-        }
-    });
-    let max_tomb = curve
-        .iter()
-        .chain(sp_curve.iter())
-        .map(|p| p.tombstones)
-        .max()
-        .unwrap_or(0);
-    gates.push(Gate {
-        name: "tombstone_bound",
-        status: "pass", // violations assert inside thread_scaling
-        value: max_tomb as f64,
-        limit: 0.0,
-        detail: "cancel-heavy runs end with tombstones <= live entries".into(),
-    });
 
     let gate_rows: Vec<Value> = gates
         .iter()
@@ -569,9 +486,7 @@ fn main() {
             Value::Map(vec![
                 ("threads".into(), Value::UInt(skew.threads as u64)),
                 ("events".into(), Value::UInt(skew.events)),
-                ("stripe_wall_s".into(), Value::Float(skew.stripe_wall_s)),
-                ("steal_wall_s".into(), Value::Float(skew.steal_wall_s)),
-                ("speedup".into(), Value::Float(skew.speedup)),
+                ("wall_s".into(), Value::Float(skew.wall_s)),
                 ("steals".into(), Value::UInt(skew.steals)),
                 (
                     "host_parallelism".into(),

@@ -14,9 +14,6 @@
 //! * `--sim-threads N` — cluster-engine worker threads inside each run
 //!   (results are bit-identical at any setting: the engine is
 //!   conservatively parallel with a deterministic barrier merge);
-//! * `--shard-schedule stripe|steal|adversarial` — how parallel workers
-//!   claim shards inside a window (default `steal`; history is
-//!   byte-identical under every schedule);
 //! * `--no-cache` — skip the `results/cache/` result cache entirely;
 //! * `--rerun` — ignore cached entries but refresh them with new runs;
 //! * `--link-bandwidth B|unlimited` — per-node link capacity in bytes/sec
@@ -67,10 +64,6 @@ pub struct Args {
     pub jobs: usize,
     /// Cluster-engine worker threads per run.
     pub sim_threads: usize,
-    /// Shard-assignment schedule for the parallel engine
-    /// (`stripe`/`steal`/`adversarial`). History is bit-identical at any
-    /// setting; only wall-clock time changes.
-    pub shard_schedule: pa_cluster::ShardSchedule,
     /// Disable the result cache.
     pub no_cache: bool,
     /// Ignore cached entries (but refresh them).
@@ -109,7 +102,6 @@ impl Args {
             seed: 42,
             jobs: 1,
             sim_threads: 1,
-            shard_schedule: pa_cluster::ShardSchedule::Steal,
             no_cache: false,
             rerun: false,
             link_bandwidth: None,
@@ -145,17 +137,6 @@ impl Args {
                         .and_then(|v| v.parse().ok())
                         .filter(|&n| n >= 1)
                         .unwrap_or_else(|| usage("--sim-threads needs a positive integer"));
-                }
-                "--shard-schedule" => {
-                    let v = it.next().unwrap_or_else(|| {
-                        usage("--shard-schedule needs stripe, steal, or adversarial")
-                    });
-                    args.shard_schedule =
-                        pa_cluster::ShardSchedule::parse(&v).unwrap_or_else(|| {
-                            usage(&format!(
-                                "--shard-schedule: unknown schedule '{v}' (stripe/steal/adversarial)"
-                            ))
-                        });
                 }
                 "--no-cache" => args.no_cache = true,
                 "--rerun" => args.rerun = true,
@@ -237,7 +218,6 @@ impl Args {
         // Every figure/table binary builds experiments through
         // `Experiment::new`, which reads these process-wide defaults.
         pa_core::set_default_sim_threads(args.sim_threads);
-        pa_core::set_default_shard_schedule(args.shard_schedule);
         args
     }
 
@@ -293,7 +273,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: <bin> [--quick|--full] [--json] [--seed N] [--jobs N] [--sim-threads N] \
-         [--shard-schedule stripe|steal|adversarial] [--no-cache] [--rerun] \
+         [--no-cache] [--rerun] \
          [--link-bandwidth B|unlimited] [--checkpoint-every DUR] \
          [--metrics-out PATH] [--trace-out PATH] [--blame-out PATH] [--policies LIST] \
          [--dispatcher aix|cfs|eevdf]"

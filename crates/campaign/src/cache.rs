@@ -40,7 +40,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// to a lookahead late, shifting `engine.windows_*` (and checkpoint
 /// cadence) for checkpoint-armed runs; v8 entries would disagree with a
 /// fresh run of the same spec.
-pub const CACHE_SCHEMA_VERSION: u32 = 9;
+/// v10: the redundant `PointSpec.dispatcher` key is gone (the dispatcher
+/// is keyed through `kernel.dispatcher` alone), so a spec's canonical form
+/// lost a field; v9 entries must read as misses.
+pub const CACHE_SCHEMA_VERSION: u32 = 10;
 
 /// Whether a point was served from disk or freshly simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,7 +245,6 @@ mod tests {
             horizon: None,
             link_bandwidth: None,
             policy: None,
-            dispatcher: None,
         }
     }
 
@@ -316,10 +318,15 @@ mod tests {
     #[test]
     fn pre_policy_schema_entries_read_as_misses() {
         // Well-formed entries written under older schemas — v4 (before
-        // `PointSpec.policy`) and v7 (before `PointSpec.dispatcher` and
-        // the `kernel.dispatches` extra) — must read as misses under the
-        // current schema, never as results; each also tallies as corrupt.
-        for (tag, old) in [("schema-v4", 4u32), ("schema-v7", 7u32)] {
+        // `PointSpec.policy`), v7 (before the `kernel.dispatches` extra)
+        // and v9 (with the since-removed `PointSpec.dispatcher` key) —
+        // must read as misses under the current schema, never as
+        // results; each also tallies as corrupt.
+        for (tag, old) in [
+            ("schema-v4", 4u32),
+            ("schema-v7", 7u32),
+            ("schema-v9", 9u32),
+        ] {
             let cache = tmp_cache(tag);
             let s = spec();
             let key = s.content_key();

@@ -382,7 +382,6 @@ mod tests {
             horizon: None,
             link_bandwidth: None,
             policy: None,
-            dispatcher: None,
         }
     }
 

@@ -21,4 +21,4 @@ pub mod fabric;
 pub mod sim;
 
 pub use fabric::{FabricModel, LINK_WAIT_BUCKETS, LINK_WAIT_EDGES_NS};
-pub use sim::{verify_checkpoint_file, ClusterSim, ClusterSpec, ShardSchedule};
+pub use sim::{verify_checkpoint_file, ClusterSim, ClusterSpec};

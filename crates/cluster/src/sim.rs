@@ -11,7 +11,14 @@
 //! barrier, cross-shard messages are exchanged and merged in a
 //! deterministic order — sorted by `(delivery time, source node, send
 //! sequence)` — so the simulation history is **bit-identical at any
-//! thread count**, including the serial path.
+//! thread count**.
+//!
+//! One coordinator loop owns the window sequence: stop conditions, window
+//! planning, the barrier merge and periodic checkpoints. It drives the
+//! shards through a [`ShardExec`]: either inline on the calling thread
+//! (`sim_threads` = 1) or through a scoped worker pool that claims shards
+//! off a shared index. The executor decides only *which thread* advances
+//! a shard inside a window, never what the shard does.
 //!
 //! The per-shard calendars together *are* the switch's globally
 //! synchronized timebase; each node's kernel sees global time only through
@@ -32,8 +39,9 @@ use pa_simkit::{sha256_hex, EventId, EventQueue, QueueStats, SeedSpace, SimDur, 
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -184,6 +192,17 @@ impl Shard {
             self.kernel.handle(now, ev, &mut self.fx);
             self.drain_effects(now, fabric);
         }
+    }
+
+    /// Fold this shard's state after a window into `tally`: its earliest
+    /// pending event, its live application threads, and the cross-shard
+    /// messages it staged.
+    fn report(&mut self, tally: &mut WindowTally) {
+        if let Some(t) = self.queue.peek_time() {
+            tally.next_ns = tally.next_ns.min(t.nanos());
+        }
+        tally.apps += self.kernel.app_alive();
+        tally.staged.append(&mut self.outbox);
     }
 
     /// Capture this shard's full mutable state.
@@ -390,70 +409,115 @@ fn link_wait_bucket(wait: SimDur) -> usize {
         .unwrap_or(LINK_WAIT_EDGES_NS.len())
 }
 
-/// How the parallel engine assigns shards to worker threads inside a
-/// window. Assignment changes only *which worker* runs `process_window`
-/// on a shard — never per-shard event order, the window sequence, or the
-/// canonical barrier merge — so the event history is bit-identical under
-/// every variant at any thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardSchedule {
-    /// Static stripes (the pre-stealing engine): worker `t` owns shards
-    /// `t, t+n, t+2n, …`. One slow shard stalls the whole barrier while
-    /// its stripe-mates' owners sit idle.
-    Stripe,
-    /// Work stealing (default): workers pull the next unclaimed shard
-    /// from a shared claim index over a heavy-first order (descending
-    /// per-shard busy-time EWMA, fed by the wall time each shard consumed
-    /// in recent windows), so the barrier waits on the slowest *window*,
-    /// not the slowest stripe.
-    Steal,
-    /// Work stealing over an adversarial order — reversed and rotated
-    /// every window — used by the permutation tests to prove assignment
-    /// order cannot leak into the history.
-    StealAdversarial,
-}
-
-impl ShardSchedule {
-    /// Parse a command-line name (`stripe`/`steal`/`adversarial`).
-    pub fn parse(s: &str) -> Option<ShardSchedule> {
-        match s {
-            "stripe" => Some(ShardSchedule::Stripe),
-            "steal" => Some(ShardSchedule::Steal),
-            "adversarial" => Some(ShardSchedule::StealAdversarial),
-            _ => None,
-        }
-    }
-}
-
-/// What one worker thread learned about its shards during a window:
-/// earliest next local event, live application threads, and the staged
-/// cross-shard messages. The coordinator aggregates these instead of
-/// re-scanning every shard. The wall-clock fields (`busy_ns`,
-/// `shard_busy`, `steals`) feed the load estimator and the `local.*`
-/// diagnostics only — nothing deterministic reads them.
-struct WindowReport {
-    min_next_ns: u64,
+/// What the coordinator learns from one window: earliest next event,
+/// live application threads, and the staged cross-shard messages. Built
+/// up shard by shard, so the top of the loop never rescans every shard.
+struct WindowTally {
+    /// Earliest pending event, nanoseconds (`u64::MAX` when none).
+    next_ns: u64,
     apps: usize,
     staged: Vec<StagedMsg>,
-    /// Wall time this worker spent inside `process_window` this window.
-    busy_ns: u64,
-    /// Per-shard wall time measured this window: `(shard, ns)`.
-    shard_busy: Vec<(u32, u64)>,
-    /// Claims outside this worker's static stripe.
-    steals: u64,
 }
 
-impl Default for WindowReport {
+impl Default for WindowTally {
     fn default() -> Self {
-        WindowReport {
-            min_next_ns: u64::MAX,
+        WindowTally {
+            next_ns: u64::MAX,
             apps: 0,
             staged: Vec::new(),
-            busy_ns: 0,
-            shard_busy: Vec::new(),
-            steals: 0,
         }
     }
+}
+
+/// Wall-clock load accounting: a `local.*` diagnostic and the input of
+/// the pool's claim order. Nothing deterministic reads it, and it is
+/// never checkpointed (losing it only costs a few warm-up windows).
+struct HostLoad {
+    /// Cumulative measured `process_window` wall time per shard.
+    busy_ns: Vec<u64>,
+    /// Exponentially-weighted per-shard busy-time estimate (ns) driving
+    /// the pool's heavy-first claim order.
+    est: Vec<u64>,
+    /// Shards claimed by a pool worker off its static stripe.
+    steals: u64,
+    /// Sum over windows of (busiest − idlest worker) wall time at the
+    /// barrier: the time the barrier spent waiting on load imbalance.
+    imbalance_ns: u64,
+}
+
+impl HostLoad {
+    fn new(shards: usize) -> HostLoad {
+        HostLoad {
+            busy_ns: vec![0; shards],
+            est: vec![0; shards],
+            steals: 0,
+            imbalance_ns: 0,
+        }
+    }
+
+    /// Charge `ns` of window wall time to `shard`.
+    fn record(&mut self, shard: usize, ns: u64) {
+        self.busy_ns[shard] = self.busy_ns[shard].saturating_add(ns);
+        let est = &mut self.est[shard];
+        *est = *est - *est / 4 + ns / 4;
+    }
+}
+
+/// How the coordinator reaches the shards while it owns a run. The
+/// inline executor is the shard vector itself, walked in order on the
+/// calling thread; [`Pool`] spreads each window over worker threads.
+/// Either way every shard processes exactly the same window, so the
+/// choice never reaches the history.
+trait ShardExec {
+    fn shard_count(&self) -> usize;
+
+    /// Exclusive access to shard `i` between windows.
+    fn with_shard<R>(&mut self, i: usize, f: impl FnOnce(&mut Shard) -> R) -> R;
+
+    /// Advance every shard through the window ending at `end`, charging
+    /// wall time to `load` and folding each shard's [`Shard::report`]
+    /// into `tally`. Returns false when a shard panicked: the window is
+    /// then incomplete and must not be merged.
+    fn run_window(
+        &mut self,
+        end: SimTime,
+        inclusive: bool,
+        fabric: &FabricModel,
+        load: &mut HostLoad,
+        tally: &mut WindowTally,
+    ) -> bool;
+}
+
+impl ShardExec for Vec<Shard> {
+    fn shard_count(&self) -> usize {
+        self.len()
+    }
+
+    fn with_shard<R>(&mut self, i: usize, f: impl FnOnce(&mut Shard) -> R) -> R {
+        f(&mut self[i])
+    }
+
+    fn run_window(
+        &mut self,
+        end: SimTime,
+        inclusive: bool,
+        fabric: &FabricModel,
+        load: &mut HostLoad,
+        tally: &mut WindowTally,
+    ) -> bool {
+        for (i, sh) in self.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            sh.process_window(end, inclusive, fabric);
+            load.record(i, t0.elapsed().as_nanos() as u64);
+            sh.report(tally);
+        }
+        true
+    }
+}
+
+thread_local! {
+    /// See [`ClusterSim::with_adversarial_claims`].
+    static ADVERSARIAL_CLAIMS: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Bounds of the window opening at `t_start`: `(end, inclusive)`. The
@@ -501,7 +565,10 @@ pub const CHECKPOINT_FORMAT: &str = "pa-cluster-checkpoint";
 /// v4: ready-queue entries carry dispatch keys and arrival sequences
 /// instead of priorities, `SchedOptions` gained the `dispatcher` field,
 /// and `KernelSnapshot` carries the dispatcher policy state (`disp`).
-pub const CHECKPOINT_VERSION: u64 = 4;
+///
+/// v5: `QueueStats` lost the `tombstones`/`compactions` fields with the
+/// lazy-cancellation queue mode.
+pub const CHECKPOINT_VERSION: u64 = 5;
 
 /// Whole-cluster checkpoint state (everything the engine mutates).
 #[derive(Debug, Serialize, Deserialize)]
@@ -543,29 +610,16 @@ pub struct ClusterSim {
     /// Size of the most recent checkpoint file written or restored.
     last_checkpoint_bytes: u64,
     extras_provider: Option<ExtrasProvider>,
-    /// Pooled barrier-merge buffer (serial path): reused across windows
-    /// so the per-barrier merge allocates nothing in steady state.
-    staged_buf: Vec<StagedMsg>,
-    /// Windows opened by the engine (serial or coordinator; identical at
-    /// any thread count).
+    /// Windows opened by the engine (identical at any thread count).
     windows_run: u64,
     /// Windows widened past the lookahead because the whole cluster was
     /// daemon-idle.
     widened_windows: u64,
-    /// Shard-to-worker assignment policy for the parallel engine.
-    schedule: ShardSchedule,
-    /// Shards claimed off their static-stripe owner's list (wall-clock
-    /// diagnostic; zero on the serial path and under `Stripe`).
-    steals: u64,
-    /// Sum over windows of (busiest worker − idlest worker) wall time at
-    /// the barrier — the time the barrier spent waiting on load imbalance.
-    barrier_imbalance_ns: u64,
-    /// Cumulative measured wall time per shard (parallel path only).
-    shard_busy_ns: Vec<u64>,
-    /// Exponentially-weighted per-shard busy-time estimate (ns) driving
-    /// the heavy-first claim order. Never checkpointed: it is wall-clock
-    /// state, and losing it only costs a few warm-up windows.
-    shard_busy_est: Vec<u64>,
+    /// Wall-clock load accounting (`local.*` diagnostics).
+    load: HostLoad,
+    /// Pool workers claim shards in the adversarial test order (see
+    /// [`ClusterSim::with_adversarial_claims`]).
+    adversarial_claims: bool,
 }
 
 /// Serialize a checkpoint to `path` atomically (write + rename), hashing
@@ -745,15 +799,25 @@ impl ClusterSim {
             checkpoint_restores: 0,
             last_checkpoint_bytes: 0,
             extras_provider: None,
-            staged_buf: Vec::new(),
             windows_run: 0,
             widened_windows: 0,
-            schedule: ShardSchedule::Steal,
-            steals: 0,
-            barrier_imbalance_ns: 0,
-            shard_busy_ns: vec![0; spec.nodes as usize],
-            shard_busy_est: vec![0; spec.nodes as usize],
+            load: HostLoad::new(spec.nodes as usize),
+            adversarial_claims: ADVERSARIAL_CLAIMS.with(Cell::get),
         }
+    }
+
+    /// Test hook: every cluster built on this thread while `f` runs has
+    /// its pool workers claim shards in an adversarial order — reversed
+    /// and rotated every window — instead of heaviest-first. The
+    /// permutation tests use it to prove that which worker advances which
+    /// shard never reaches the history. The inline (`sim_threads` = 1)
+    /// executor has no claims and ignores it.
+    #[doc(hidden)]
+    pub fn with_adversarial_claims<R>(f: impl FnOnce() -> R) -> R {
+        let prev = ADVERSARIAL_CLAIMS.with(|c| c.replace(true));
+        let out = f();
+        ADVERSARIAL_CLAIMS.with(|c| c.set(prev));
+        out
     }
 
     /// Number of nodes.
@@ -773,40 +837,29 @@ impl ClusterSim {
         self.sim_threads
     }
 
-    /// Select how the parallel engine assigns shards to workers. The
-    /// event history is identical under every policy; this only trades
-    /// wall-clock time at the window barrier.
-    pub fn set_shard_schedule(&mut self, schedule: ShardSchedule) {
-        self.schedule = schedule;
-    }
-
-    /// Configured shard-to-worker assignment policy.
-    pub fn shard_schedule(&self) -> ShardSchedule {
-        self.schedule
-    }
-
-    /// Shards claimed by a worker outside its static stripe (wall-clock
-    /// diagnostic — nondeterministic, reported under `local.*`).
+    /// Shards claimed by a pool worker outside its static stripe
+    /// (wall-clock diagnostic — nondeterministic, reported under
+    /// `local.*`; always zero at one thread).
     pub fn steals(&self) -> u64 {
-        self.steals
+        self.load.steals
     }
 
     /// Total measured `process_window` wall time across shards, ns
-    /// (parallel path only; wall-clock diagnostic, `local.*`).
+    /// (wall-clock diagnostic, `local.*`).
     pub fn shard_busy_ns(&self) -> u64 {
-        self.shard_busy_ns.iter().sum()
+        self.load.busy_ns.iter().sum()
     }
 
     /// One shard's cumulative measured window wall time, ns.
     pub fn shard_busy_ns_of(&self, node: u32) -> u64 {
-        self.shard_busy_ns[node as usize]
+        self.load.busy_ns[node as usize]
     }
 
     /// Sum over windows of the busiest-minus-idlest worker wall time at
     /// the barrier (wall-clock diagnostic, `local.*`): how long barriers
-    /// spent waiting on load imbalance.
+    /// spent waiting on load imbalance. Always zero at one thread.
     pub fn barrier_imbalance_ns(&self) -> u64 {
-        self.barrier_imbalance_ns
+        self.load.imbalance_ns
     }
 
     /// Access a node's kernel (setup: spawning threads, enabling traces).
@@ -992,17 +1045,38 @@ impl ClusterSim {
         if !self.booted {
             return Err("checkpoint requires a booted cluster".to_string());
         }
+        let mut shards = std::mem::take(&mut self.shards);
+        let written = self.write_checkpoint(&mut shards, path.as_ref());
+        self.shards = shards;
+        written
+    }
+
+    /// Snapshot every shard into `path`; the one capture path behind both
+    /// manual and periodic checkpoints. Returns the file size in bytes.
+    fn write_checkpoint<X: ShardExec>(
+        &mut self,
+        shards: &mut X,
+        path: &Path,
+    ) -> Result<u64, String> {
         // Increment before capture: the snapshot's counter then includes
         // this write, so a restored run's total matches an uninterrupted
         // run's.
         self.checkpoints_written += 1;
-        let snap = self.capture();
+        let snap = ClusterSnap {
+            now: self.now,
+            clock_resyncs: self.clock_resyncs,
+            checkpoints_written: self.checkpoints_written,
+            checkpoint_next_ns: self.next_checkpoint_at.map(|t| t.nanos()),
+            shards: (0..shards.shard_count())
+                .map(|i| shards.with_shard(i, |sh| sh.snapshot()))
+                .collect(),
+        };
         let extras = self
             .extras_provider
             .as_ref()
             .map(|f| f())
             .unwrap_or_default();
-        let bytes = write_checkpoint_file(path.as_ref(), &snap, extras)?;
+        let bytes = write_checkpoint_file(path, &snap, extras)?;
         self.last_checkpoint_bytes = bytes;
         Ok(bytes)
     }
@@ -1049,17 +1123,6 @@ impl ClusterSim {
         Ok(extras)
     }
 
-    /// Whole-cluster snapshot (serial path — shards owned by `self`).
-    fn capture(&self) -> ClusterSnap {
-        ClusterSnap {
-            now: self.now,
-            clock_resyncs: self.clock_resyncs,
-            checkpoints_written: self.checkpoints_written,
-            checkpoint_next_ns: self.next_checkpoint_at.map(|t| t.nanos()),
-            shards: self.shards.iter().map(Shard::snapshot).collect(),
-        }
-    }
-
     /// Is a periodic checkpoint due at the barrier ending at `we`?
     fn checkpoint_due(&self, we: SimTime) -> bool {
         matches!(self.next_checkpoint_at, Some(at) if we >= at)
@@ -1084,9 +1147,13 @@ impl ClusterSim {
         };
     }
 
-    /// Periodic-checkpoint hook for the serial engine, called at each
-    /// window barrier (after the merge, matching the parallel path).
-    fn maybe_autocheckpoint(&mut self, we: SimTime) -> Result<(), String> {
+    /// Periodic-checkpoint hook, called by the coordinator at each
+    /// window barrier after the merge.
+    fn maybe_autocheckpoint<X: ShardExec>(
+        &mut self,
+        shards: &mut X,
+        we: SimTime,
+    ) -> Result<(), String> {
         if !self.checkpoint_due(we) {
             return Ok(());
         }
@@ -1098,16 +1165,7 @@ impl ClusterSim {
             .checkpoint_every
             .ok_or("checkpoint due without an interval")?;
         Self::advance_schedule(&mut self.next_checkpoint_at, every, we);
-        self.checkpoints_written += 1;
-        let snap = self.capture();
-        let extras = self
-            .extras_provider
-            .as_ref()
-            .map(|f| f())
-            .unwrap_or_default();
-        let bytes = write_checkpoint_file(&path, &snap, extras)?;
-        self.last_checkpoint_bytes = bytes;
-        Ok(())
+        self.write_checkpoint(shards, &path).map(|_| ())
     }
 
     /// Boot every node at the current time.
@@ -1115,11 +1173,13 @@ impl ClusterSim {
         assert!(!self.booted, "boot called twice");
         self.booted = true;
         let now = self.now;
+        let mut staged = Vec::new();
         for sh in &mut self.shards {
             sh.kernel.boot(now, &mut sh.fx);
             sh.drain_effects(now, &self.fabric);
+            staged.append(&mut sh.outbox);
         }
-        Self::merge_outboxes(&mut self.shards, &self.fabric, &mut self.staged_buf);
+        merge_outboxes(&mut self.shards, &self.fabric, &mut staged);
     }
 
     /// Live application threads across the cluster.
@@ -1156,41 +1216,6 @@ impl ClusterSim {
         }
         self.now = self.now.max(horizon);
         self.now
-    }
-
-    /// Deliver staged cross-shard messages in the canonical merge order,
-    /// applying ingress-link queueing per destination as they land.
-    /// `staged` is a pooled scratch buffer — cleared here, drained before
-    /// returning — so the per-barrier merge allocates nothing in steady
-    /// state. Returns the earliest *final* delivery time in nanoseconds
-    /// (`u64::MAX` when nothing was staged), so callers maintaining the
-    /// next-event aggregate incrementally can fold the merged deliveries
-    /// in without re-scanning every shard.
-    fn merge_outboxes(
-        shards: &mut [Shard],
-        fabric: &FabricModel,
-        staged: &mut Vec<StagedMsg>,
-    ) -> u64 {
-        staged.clear();
-        for sh in shards.iter_mut() {
-            staged.append(&mut sh.outbox);
-        }
-        let mut min_final_ns = u64::MAX;
-        if staged.is_empty() {
-            return min_final_ns;
-        }
-        staged.sort_by_key(|m| (m.deliver_at, m.src_node, m.seq));
-        for m in staged.drain(..) {
-            let dst = m.dst_node as usize;
-            let final_at = shards[dst].accept_staged(m, fabric);
-            min_final_ns = min_final_ns.min(final_at.nanos());
-        }
-        min_final_ns
-    }
-
-    /// Earliest pending event across all shards.
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.shards.iter().filter_map(|s| s.queue.peek_time()).min()
     }
 
     /// Windows opened so far (a function of simulation state alone, so
@@ -1258,379 +1283,350 @@ impl ClusterSim {
         (we, inclusive, daemon_idle)
     }
 
+    /// Run the window loop to `horizon`. The shards leave `self` for the
+    /// run and go to the executor `sim_threads` selects; they come back
+    /// before any panic from the run is re-raised.
     fn run_windows(&mut self, horizon: SimTime, until_apps_done: bool) {
         assert!(self.booted, "boot the cluster first");
         let nthreads = self.sim_threads.min(self.shards.len()).max(1);
-        if nthreads <= 1 {
-            self.run_windows_serial(horizon, until_apps_done);
+        let mut shards = std::mem::take(&mut self.shards);
+        let (outcome, worker_panic) = if nthreads <= 1 {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                self.coordinate(&mut shards, horizon, until_apps_done)
+            }));
+            (outcome, None)
         } else {
-            self.run_windows_parallel(horizon, until_apps_done, nthreads);
-        }
-    }
-
-    /// The serial engine: the reference window sequence. Mirrors the
-    /// parallel coordinator's bookkeeping: one initial scan establishes
-    /// the live-app count and earliest pending event, then both are
-    /// maintained incrementally — accumulated per shard as each window is
-    /// processed, folded with the merged deliveries' final times — so the
-    /// top of the loop never rescans every shard.
-    fn run_windows_serial(&mut self, horizon: SimTime, until_apps_done: bool) {
-        let mut apps = self.apps_alive();
-        let mut next_ns = match self.next_event_time() {
-            Some(t) => t.nanos(),
-            None => u64::MAX,
+            Pool::run(
+                &mut shards,
+                nthreads,
+                self.fabric,
+                self.adversarial_claims,
+                |pool| {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        self.coordinate(pool, horizon, until_apps_done)
+                    }))
+                },
+            )
         };
-        loop {
-            if until_apps_done && apps == 0 {
-                break;
-            }
-            if next_ns == u64::MAX || next_ns > horizon.nanos() {
-                break;
-            }
-            let t_start = SimTime::from_nanos(next_ns);
-            let (we, inclusive, idle) = self.plan_window(t_start, horizon, apps == 0);
-            apps = 0;
-            next_ns = u64::MAX;
-            for (i, sh) in self.shards.iter_mut().enumerate() {
-                let t0 = Instant::now();
-                sh.process_window(we, inclusive, &self.fabric);
-                let busy = t0.elapsed().as_nanos() as u64;
-                self.shard_busy_ns[i] = self.shard_busy_ns[i].saturating_add(busy);
-                let est = &mut self.shard_busy_est[i];
-                *est = *est - *est / 4 + busy / 4;
-                if let Some(next) = sh.queue.peek_time() {
-                    next_ns = next_ns.min(next.nanos());
-                }
-                apps += sh.kernel.app_alive();
-            }
-            if idle {
-                assert!(
-                    self.shards.iter().all(|sh| sh.outbox.is_empty()),
-                    "daemon-idle window staged a cross-shard message"
-                );
-            }
-            let merged_ns =
-                Self::merge_outboxes(&mut self.shards, &self.fabric, &mut self.staged_buf);
-            next_ns = next_ns.min(merged_ns);
-            if let Err(e) = self.maybe_autocheckpoint(we) {
-                panic!("periodic checkpoint failed: {e}");
-            }
-        }
-    }
-
-    /// The parallel engine: persistent workers advance shards window by
-    /// window; a coordinator derives the *same* window sequence the
-    /// serial path would and performs the deterministic barrier merge.
-    /// Stop conditions, window bounds, per-shard event order, and merge
-    /// order are all functions of simulation state alone, so the history
-    /// is identical to the serial engine's.
-    ///
-    /// Shard *assignment* within a window is work-stealing rather than a
-    /// static stripe: a shared atomic claim index walks a per-window
-    /// `order` array, so each worker pulls the next unprocessed shard the
-    /// moment it finishes the last one, and the barrier waits on the
-    /// slowest *window* rather than the slowest stripe. The order is
-    /// heaviest-first by an exponentially-weighted per-shard busy-time
-    /// estimate (fed from the wall time each shard consumed last window),
-    /// an LPT-style greedy that starts the hot shard before the cheap
-    /// ones. Assignment is invariant-free: it decides only which worker
-    /// calls `process_window` on which shard; every shard still processes
-    /// exactly the same window, and the merge below is canonical, so the
-    /// history is bit-identical across `ShardSchedule` modes and thread
-    /// counts. Steal/busy/imbalance counters are wall-clock-derived and
-    /// surface only under `local.*`.
-    fn run_windows_parallel(&mut self, horizon: SimTime, until_apps_done: bool, nthreads: usize) {
-        let fabric = self.fabric;
-        let schedule = self.schedule;
-        let shards: Vec<Mutex<Shard>> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let nshards = shards.len();
-        let barrier = Barrier::new(nthreads + 1);
-        let window_end_ns = AtomicU64::new(0);
-        let window_inclusive = AtomicBool::new(false);
-        let done = AtomicBool::new(false);
-        // Work-stealing shared state: `order[k]` is the shard to run k-th
-        // (rewritten by the coordinator between windows while workers are
-        // parked), `claim` is the next unclaimed position. Workers
-        // fetch-add to claim; a claim at a position off the worker's home
-        // stripe (`k % nthreads != t`) counts as a steal.
-        let order: Vec<AtomicU32> = (0..nshards as u32).map(AtomicU32::new).collect();
-        let claim = AtomicUsize::new(0);
-        // Worker-panic hardening: the first panic is parked here (with the
-        // node it struck) and re-raised once the engine has shut down
-        // cleanly, instead of poisoning shard mutexes and surfacing as an
-        // unrelated `PoisonError` on the next lock.
-        let abort = AtomicBool::new(false);
-        let panicked: Mutex<Option<(u32, Box<dyn Any + Send>)>> = Mutex::new(None);
-        // A panic inside `process_window` unwinds across a held shard
-        // guard and poisons that mutex. The payload is re-raised below, so
-        // the poison flag carries no information — strip it everywhere.
-        fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-            m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-        let slots: Vec<Mutex<WindowReport>> = (0..nthreads)
-            .map(|_| Mutex::new(WindowReport::default()))
-            .collect();
-        let mut ckpt_err: Option<String> = None;
-        std::thread::scope(|scope| {
-            for t in 0..nthreads {
-                let shards = &shards;
-                let barrier = &barrier;
-                let window_end_ns = &window_end_ns;
-                let window_inclusive = &window_inclusive;
-                let done = &done;
-                let abort = &abort;
-                let panicked = &panicked;
-                let slots = &slots;
-                let fabric = &fabric;
-                let order = &order;
-                let claim = &claim;
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let we = SimTime::from_nanos(window_end_ns.load(Ordering::Acquire));
-                    let inclusive = window_inclusive.load(Ordering::Acquire);
-                    // Reclaim the slot's report (the coordinator drained
-                    // its staged list but left the capacity), so steady
-                    // state reallocates nothing per window.
-                    let mut report = std::mem::take(&mut *lock(&slots[t]));
-                    report.min_next_ns = u64::MAX;
-                    report.apps = 0;
-                    report.staged.clear();
-                    report.busy_ns = 0;
-                    report.shard_busy.clear();
-                    report.steals = 0;
-                    // Claim positions in the coordinator-written order.
-                    // Stripe mode walks the worker's own positions (the
-                    // pre-stealing static assignment); stealing modes
-                    // fetch-add a shared index so a worker that finishes
-                    // early pulls the next unprocessed shard instead of
-                    // idling at the barrier.
-                    let mut stripe_k = t;
-                    while !abort.load(Ordering::Acquire) {
-                        let k = match schedule {
-                            ShardSchedule::Stripe => {
-                                let k = stripe_k;
-                                stripe_k += nthreads;
-                                k
-                            }
-                            ShardSchedule::Steal | ShardSchedule::StealAdversarial => {
-                                claim.fetch_add(1, Ordering::Relaxed)
-                            }
-                        };
-                        if k >= shards.len() {
-                            break;
-                        }
-                        if k % nthreads != t {
-                            report.steals += 1;
-                        }
-                        let i = order[k].load(Ordering::Relaxed) as usize;
-                        let mut sh = lock(&shards[i]);
-                        let node = sh.node;
-                        let t0 = Instant::now();
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            sh.process_window(we, inclusive, fabric);
-                        }));
-                        let busy = t0.elapsed().as_nanos() as u64;
-                        let ok = match outcome {
-                            Ok(()) => {
-                                if let Some(next) = sh.queue.peek_time() {
-                                    report.min_next_ns = report.min_next_ns.min(next.nanos());
-                                }
-                                report.apps += sh.kernel.app_alive();
-                                report.staged.append(&mut sh.outbox);
-                                report.busy_ns += busy;
-                                report.shard_busy.push((node, busy));
-                                true
-                            }
-                            Err(payload) => {
-                                // First panic wins; tell everyone to stop
-                                // at the next safe point. This worker still
-                                // files its report and reaches the barrier
-                                // so nobody deadlocks.
-                                abort.store(true, Ordering::Release);
-                                let mut first = lock(panicked);
-                                if first.is_none() {
-                                    *first = Some((node, payload));
-                                }
-                                false
-                            }
-                        };
-                        drop(sh);
-                        if !ok {
-                            break;
-                        }
-                    }
-                    *lock(&slots[t]) = report;
-                    barrier.wait();
-                });
-            }
-            // Coordinator. Initial scan mirrors the serial loop's first
-            // apps/next-event check; afterwards both are maintained from
-            // the worker reports plus the merged deliveries.
-            let mut next_ns = u64::MAX;
-            let mut apps = 0usize;
-            for m in shards.iter() {
-                let sh = lock(m);
-                if let Some(t0) = sh.queue.peek_time() {
-                    next_ns = next_ns.min(t0.nanos());
-                }
-                apps += sh.kernel.app_alive();
-            }
-            // Pooled merge buffer: refilled from the report slots and
-            // drained into destination shards every barrier.
-            let mut staged: Vec<StagedMsg> = Vec::new();
-            // Scratch for re-sorting the claim order between windows.
-            let mut order_scratch: Vec<u32> = (0..nshards as u32).collect();
-            loop {
-                if until_apps_done && apps == 0 {
-                    break;
-                }
-                if next_ns == u64::MAX || next_ns > horizon.nanos() {
-                    break;
-                }
-                let (we, inclusive, idle) =
-                    self.plan_window(SimTime::from_nanos(next_ns), horizon, apps == 0);
-                // Workers are parked at the top-of-loop barrier, so the
-                // coordinator owns the claim state here. Heaviest-first by
-                // the busy-time EWMA for stealing; the adversarial mode
-                // rotates a reversed order every window to prove the
-                // history does not depend on who claims what.
-                match schedule {
-                    ShardSchedule::Stripe => {}
-                    ShardSchedule::Steal => {
-                        order_scratch.sort_by_key(|&i| {
-                            (std::cmp::Reverse(self.shard_busy_est[i as usize]), i)
-                        });
-                        for (k, &i) in order_scratch.iter().enumerate() {
-                            order[k].store(i, Ordering::Relaxed);
-                        }
-                    }
-                    ShardSchedule::StealAdversarial => {
-                        let rot = (self.windows_run as usize) % nshards.max(1);
-                        for (k, slot) in order.iter().enumerate().take(nshards) {
-                            let i = (nshards - 1 - k + rot) % nshards;
-                            slot.store(i as u32, Ordering::Relaxed);
-                        }
-                    }
-                }
-                claim.store(0, Ordering::Relaxed);
-                window_end_ns.store(we.nanos(), Ordering::Release);
-                window_inclusive.store(inclusive, Ordering::Release);
-                barrier.wait(); // open the window
-                barrier.wait(); // all shards processed it
-                if abort.load(Ordering::Acquire) {
-                    // A worker panicked mid-window: the window is
-                    // incomplete, so merging would corrupt state. Shut
-                    // down and re-raise below.
-                    break;
-                }
-                staged.clear();
-                next_ns = u64::MAX;
-                apps = 0;
-                let mut min_busy = u64::MAX;
-                let mut max_busy = 0u64;
-                for slot in slots.iter() {
-                    let mut s = lock(slot);
-                    next_ns = next_ns.min(s.min_next_ns);
-                    apps += s.apps;
-                    staged.append(&mut s.staged);
-                    self.steals += s.steals;
-                    min_busy = min_busy.min(s.busy_ns);
-                    max_busy = max_busy.max(s.busy_ns);
-                    for &(node, busy) in &s.shard_busy {
-                        let n = node as usize;
-                        self.shard_busy_ns[n] = self.shard_busy_ns[n].saturating_add(busy);
-                        let est = &mut self.shard_busy_est[n];
-                        *est = *est - *est / 4 + busy / 4;
-                    }
-                    s.shard_busy.clear();
-                }
-                if min_busy != u64::MAX {
-                    self.barrier_imbalance_ns = self
-                        .barrier_imbalance_ns
-                        .saturating_add(max_busy - min_busy);
-                }
-                assert!(
-                    !idle || staged.is_empty(),
-                    "daemon-idle window staged a cross-shard message"
-                );
-                staged.sort_by_key(|m| (m.deliver_at, m.src_node, m.seq));
-                for m in staged.drain(..) {
-                    let dst = m.dst_node as usize;
-                    // Ingress queueing may move the delivery later; track
-                    // the *final* time so the next window opens exactly
-                    // where the serial engine's queue scan would put it.
-                    let final_at = lock(&shards[dst]).accept_staged(m, &fabric);
-                    next_ns = next_ns.min(final_at.nanos());
-                }
-                // Periodic checkpoint, at the same post-merge barrier as
-                // the serial engine. Workers are parked at the top-of-loop
-                // barrier here, so the coordinator has exclusive access to
-                // every shard. A write failure must NOT panic inside the
-                // scope (workers would wait forever) — record it, shut
-                // down, and re-raise after the scope exits.
-                if self.checkpoint_due(we) {
-                    let every = self
-                        .checkpoint_every
-                        .expect("checkpoint due without an interval");
-                    let Some(path) = self.checkpoint_path.clone() else {
-                        ckpt_err = Some("checkpoint interval armed without a path".to_string());
-                        break;
-                    };
-                    Self::advance_schedule(&mut self.next_checkpoint_at, every, we);
-                    self.checkpoints_written += 1;
-                    let snap = ClusterSnap {
-                        now: self.now,
-                        clock_resyncs: self.clock_resyncs,
-                        checkpoints_written: self.checkpoints_written,
-                        checkpoint_next_ns: self.next_checkpoint_at.map(|t| t.nanos()),
-                        shards: shards.iter().map(|m| lock(m).snapshot()).collect(),
-                    };
-                    let extras = self
-                        .extras_provider
-                        .as_ref()
-                        .map(|f| f())
-                        .unwrap_or_default();
-                    match write_checkpoint_file(&path, &snap, extras) {
-                        Ok(bytes) => self.last_checkpoint_bytes = bytes,
-                        Err(e) => {
-                            ckpt_err = Some(e);
-                            break;
-                        }
-                    }
-                }
-            }
-            done.store(true, Ordering::Release);
-            barrier.wait();
-        });
-        self.shards = shards
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            })
-            .collect();
-        if let Some((node, payload)) = panicked
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
+        self.shards = shards;
+        if let Some((node, payload)) = worker_panic {
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned());
             match msg {
                 Some(m) => panic!("shard worker panicked while advancing node {node}: {m}"),
-                None => std::panic::resume_unwind(payload),
+                None => resume_unwind(payload),
             }
         }
-        if let Some(e) = ckpt_err {
-            panic!("periodic checkpoint failed: {e}");
+        if let Err(payload) = outcome {
+            resume_unwind(payload);
         }
+    }
+
+    /// The window loop. One initial scan establishes the live-app count
+    /// and earliest pending event; afterwards both are maintained from
+    /// each window's tally plus the merged deliveries, so the top of the
+    /// loop never rescans every shard. Stop conditions, window bounds,
+    /// per-shard event order and merge order are all functions of
+    /// simulation state alone, so the history is identical under either
+    /// executor at any thread count.
+    fn coordinate<X: ShardExec>(
+        &mut self,
+        shards: &mut X,
+        horizon: SimTime,
+        until_apps_done: bool,
+    ) {
+        let mut tally = WindowTally::default();
+        for i in 0..shards.shard_count() {
+            shards.with_shard(i, |sh| {
+                if let Some(t) = sh.queue.peek_time() {
+                    tally.next_ns = tally.next_ns.min(t.nanos());
+                }
+                tally.apps += sh.kernel.app_alive();
+            });
+        }
+        loop {
+            if until_apps_done && tally.apps == 0 {
+                break;
+            }
+            if tally.next_ns == u64::MAX || tally.next_ns > horizon.nanos() {
+                break;
+            }
+            let t_start = SimTime::from_nanos(tally.next_ns);
+            let (we, inclusive, idle) = self.plan_window(t_start, horizon, tally.apps == 0);
+            tally.next_ns = u64::MAX;
+            tally.apps = 0;
+            if !shards.run_window(we, inclusive, &self.fabric, &mut self.load, &mut tally) {
+                break;
+            }
+            assert!(
+                !idle || tally.staged.is_empty(),
+                "daemon-idle window staged a cross-shard message"
+            );
+            let merged_ns = merge_outboxes(shards, &self.fabric, &mut tally.staged);
+            tally.next_ns = tally.next_ns.min(merged_ns);
+            if let Err(e) = self.maybe_autocheckpoint(shards, we) {
+                panic!("periodic checkpoint failed: {e}");
+            }
+        }
+    }
+}
+
+/// Deliver staged cross-shard messages in the canonical
+/// `(deliver_at, src_node, seq)` order, applying ingress-link queueing
+/// per destination as they land. `staged` is drained but keeps its
+/// capacity, so the per-barrier merge allocates nothing in steady state.
+/// Returns the earliest *final* delivery time in nanoseconds (`u64::MAX`
+/// when nothing was staged): ingress queueing may move a delivery later,
+/// and the next window must open exactly where a full queue scan would
+/// put it.
+fn merge_outboxes<X: ShardExec>(
+    shards: &mut X,
+    fabric: &FabricModel,
+    staged: &mut Vec<StagedMsg>,
+) -> u64 {
+    staged.sort_by_key(|m| (m.deliver_at, m.src_node, m.seq));
+    let mut min_final_ns = u64::MAX;
+    for m in staged.drain(..) {
+        let final_at = shards.with_shard(m.dst_node as usize, |sh| sh.accept_staged(m, fabric));
+        min_final_ns = min_final_ns.min(final_at.nanos());
+    }
+    min_final_ns
+}
+
+/// A panic caught in a pool worker, with the node it struck.
+type WorkerPanic = (u32, Box<dyn Any + Send>);
+
+/// What one pool worker learned during a window. The wall-clock fields
+/// feed [`HostLoad`] only.
+#[derive(Default)]
+struct WindowReport {
+    tally: WindowTally,
+    /// Wall time this worker spent inside `process_window` this window.
+    busy_ns: u64,
+    /// Per-shard wall time measured this window: `(shard, ns)`.
+    shard_busy: Vec<(u32, u64)>,
+    /// Claims outside this worker's static stripe.
+    steals: u64,
+}
+
+/// State shared by the coordinator and the pool's workers.
+struct PoolShared {
+    shards: Vec<Mutex<Shard>>,
+    fabric: FabricModel,
+    nthreads: usize,
+    barrier: Barrier,
+    window_end_ns: AtomicU64,
+    window_inclusive: AtomicBool,
+    done: AtomicBool,
+    /// `order[k]` is the shard to run k-th; rewritten by the coordinator
+    /// between windows while workers are parked.
+    order: Vec<AtomicU32>,
+    /// Next unclaimed position in `order`.
+    claim: AtomicUsize,
+    /// Set by the first worker panic: everyone stops at the next claim.
+    abort: AtomicBool,
+    panicked: Mutex<Option<WorkerPanic>>,
+    /// One report per worker, handed to the coordinator at the barrier.
+    slots: Vec<Mutex<WindowReport>>,
+}
+
+/// A panic inside `process_window` unwinds across a held shard guard and
+/// poisons that mutex. The payload is re-raised after shutdown, so the
+/// poison flag carries no information — strip it everywhere.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+impl PoolShared {
+    /// One worker: per window, claim shard positions off the shared
+    /// index until none are left, so a worker that finishes early pulls
+    /// the next unprocessed shard instead of idling at the barrier. A
+    /// claim off the worker's home stripe (`k % nthreads != t`) counts as
+    /// a steal.
+    fn worker(&self, t: usize) {
+        loop {
+            self.barrier.wait();
+            if self.done.load(Ordering::Acquire) {
+                break;
+            }
+            let we = SimTime::from_nanos(self.window_end_ns.load(Ordering::Acquire));
+            let inclusive = self.window_inclusive.load(Ordering::Acquire);
+            // Reclaim the slot's report (the coordinator drained its
+            // staged list but left the capacity), so steady state
+            // reallocates nothing per window.
+            let mut report = std::mem::take(&mut *lock(&self.slots[t]));
+            report.tally.next_ns = u64::MAX;
+            report.tally.apps = 0;
+            report.busy_ns = 0;
+            report.shard_busy.clear();
+            report.steals = 0;
+            while !self.abort.load(Ordering::Acquire) {
+                let k = self.claim.fetch_add(1, Ordering::Relaxed);
+                if k >= self.shards.len() {
+                    break;
+                }
+                if k % self.nthreads != t {
+                    report.steals += 1;
+                }
+                let i = self.order[k].load(Ordering::Relaxed) as usize;
+                let mut sh = lock(&self.shards[i]);
+                let node = sh.node;
+                let t0 = Instant::now();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    sh.process_window(we, inclusive, &self.fabric);
+                }));
+                let busy = t0.elapsed().as_nanos() as u64;
+                if let Err(payload) = outcome {
+                    // First panic wins. This worker still files its
+                    // report and reaches the barrier so nobody deadlocks.
+                    self.abort.store(true, Ordering::Release);
+                    lock(&self.panicked).get_or_insert((node, payload));
+                    break;
+                }
+                sh.report(&mut report.tally);
+                report.busy_ns += busy;
+                report.shard_busy.push((node, busy));
+            }
+            *lock(&self.slots[t]) = report;
+            self.barrier.wait();
+        }
+    }
+}
+
+/// The scoped worker pool: the coordinator's side of [`PoolShared`].
+struct Pool<'a> {
+    shared: &'a PoolShared,
+    /// Scratch for re-sorting the claim order between windows.
+    order_scratch: Vec<u32>,
+    adversarial: bool,
+    windows: usize,
+}
+
+impl Pool<'_> {
+    /// Run `coordinate` against a pool of `nthreads` workers over
+    /// `shards`, then shut the pool down and hand the shards back.
+    /// Returns `coordinate`'s result and the first worker panic, if any.
+    /// `coordinate` must not unwind: a panic on the coordinator would
+    /// leave the workers parked at the barrier forever.
+    fn run<R>(
+        shards: &mut Vec<Shard>,
+        nthreads: usize,
+        fabric: FabricModel,
+        adversarial: bool,
+        coordinate: impl FnOnce(&mut Pool<'_>) -> R,
+    ) -> (R, Option<WorkerPanic>) {
+        let n = shards.len();
+        let shared = PoolShared {
+            shards: std::mem::take(shards).into_iter().map(Mutex::new).collect(),
+            fabric,
+            nthreads,
+            barrier: Barrier::new(nthreads + 1),
+            window_end_ns: AtomicU64::new(0),
+            window_inclusive: AtomicBool::new(false),
+            done: AtomicBool::new(false),
+            order: (0..n as u32).map(AtomicU32::new).collect(),
+            claim: AtomicUsize::new(0),
+            abort: AtomicBool::new(false),
+            panicked: Mutex::new(None),
+            slots: (0..nthreads).map(|_| Mutex::default()).collect(),
+        };
+        let out = std::thread::scope(|scope| {
+            for t in 0..nthreads {
+                let shared = &shared;
+                scope.spawn(move || shared.worker(t));
+            }
+            let mut pool = Pool {
+                shared: &shared,
+                order_scratch: (0..n as u32).collect(),
+                adversarial,
+                windows: 0,
+            };
+            let out = coordinate(&mut pool);
+            shared.done.store(true, Ordering::Release);
+            shared.barrier.wait();
+            out
+        });
+        *shards = shared
+            .shards
+            .into_iter()
+            .map(|m| {
+                m.into_inner()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+            })
+            .collect();
+        let panicked = shared
+            .panicked
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        (out, panicked)
+    }
+}
+
+impl ShardExec for Pool<'_> {
+    fn shard_count(&self) -> usize {
+        self.shared.shards.len()
+    }
+
+    fn with_shard<R>(&mut self, i: usize, f: impl FnOnce(&mut Shard) -> R) -> R {
+        f(&mut lock(&self.shared.shards[i]))
+    }
+
+    /// Workers are parked at the top-of-loop barrier on entry, so the
+    /// coordinator owns the claim state here. The claim order is
+    /// heaviest-first by the busy-time EWMA — an LPT-style greedy that
+    /// starts the hot shard before the cheap ones — or, under the
+    /// adversarial test hook, a reversed order rotated every window.
+    fn run_window(
+        &mut self,
+        end: SimTime,
+        inclusive: bool,
+        _fabric: &FabricModel,
+        load: &mut HostLoad,
+        tally: &mut WindowTally,
+    ) -> bool {
+        let shared = self.shared;
+        let n = self.order_scratch.len();
+        if self.adversarial {
+            let rot = self.windows % n;
+            for (k, slot) in self.order_scratch.iter_mut().enumerate() {
+                *slot = ((n - 1 - k + rot) % n) as u32;
+            }
+        } else {
+            self.order_scratch
+                .sort_by_key(|&i| (std::cmp::Reverse(load.est[i as usize]), i));
+        }
+        self.windows += 1;
+        for (slot, &i) in shared.order.iter().zip(&self.order_scratch) {
+            slot.store(i, Ordering::Relaxed);
+        }
+        shared.claim.store(0, Ordering::Relaxed);
+        shared.window_end_ns.store(end.nanos(), Ordering::Release);
+        shared.window_inclusive.store(inclusive, Ordering::Release);
+        shared.barrier.wait(); // open the window
+        shared.barrier.wait(); // all shards processed it
+        if shared.abort.load(Ordering::Acquire) {
+            return false;
+        }
+        let mut min_busy = u64::MAX;
+        let mut max_busy = 0u64;
+        for slot in &shared.slots {
+            let mut r = lock(slot);
+            tally.next_ns = tally.next_ns.min(r.tally.next_ns);
+            tally.apps += r.tally.apps;
+            tally.staged.append(&mut r.tally.staged);
+            load.steals += r.steals;
+            min_busy = min_busy.min(r.busy_ns);
+            max_busy = max_busy.max(r.busy_ns);
+            for &(node, busy) in &r.shard_busy {
+                load.record(node as usize, busy);
+            }
+        }
+        if min_busy != u64::MAX {
+            load.imbalance_ns = load.imbalance_ns.saturating_add(max_busy - min_busy);
+        }
+        true
     }
 }
 
@@ -2357,9 +2353,9 @@ mod tests {
 
     /// A 4-node workload with one artificially hot shard: node 0's rank
     /// computes ~50× longer per round than the others, so a static stripe
-    /// leaves the other workers idle at the barrier while stealing lets
-    /// them drain the cheap shards and pull forward.
-    fn skewed_sim(threads: usize, schedule: ShardSchedule) -> ClusterSim {
+    /// would leave the other workers idle at the barrier while stealing
+    /// lets them drain the cheap shards and pull forward.
+    fn skewed_sim(threads: usize) -> ClusterSim {
         let spec = ClusterSpec {
             nodes: 4,
             cpus_per_node: 2,
@@ -2370,7 +2366,6 @@ mod tests {
         };
         let mut sim = ClusterSim::build(&spec, &SeedSpace::new(23));
         sim.set_sim_threads(threads);
-        sim.set_shard_schedule(schedule);
         for n in 0..4u32 {
             let next = (n + 1) % 4;
             let compute = if n == 0 { 500 } else { 10 };
@@ -2401,13 +2396,17 @@ mod tests {
     fn shard_schedule_permutation_preserves_history() {
         // The permutation test from the stealing scheduler's contract:
         // assignment decides only which worker runs a shard, so the full
-        // deterministic fingerprint must be identical across every
-        // schedule (static stripe, heaviest-first stealing, adversarial
-        // rotating claim order) at every thread count. `local.*` values
-        // (steals, busy, imbalance) are deliberately NOT in the
-        // fingerprint — they are wall-clock facts.
-        let run = |threads: usize, schedule: ShardSchedule| {
-            let mut sim = skewed_sim(threads, schedule);
+        // deterministic fingerprint must be identical under heaviest-first
+        // stealing and the adversarial rotating claim order at every
+        // thread count. `local.*` values (steals, busy, imbalance) are
+        // deliberately NOT in the fingerprint — they are wall-clock facts.
+        let run = |threads: usize, adversarial: bool| {
+            let mut sim = if adversarial {
+                ClusterSim::with_adversarial_claims(|| skewed_sim(threads))
+            } else {
+                skewed_sim(threads)
+            };
+            assert_eq!(sim.adversarial_claims, adversarial);
             sim.boot();
             let end = sim.run_until_apps_done(SimTime::from_secs(1));
             (
@@ -2420,17 +2419,13 @@ mod tests {
                 sim.windows_run(),
             )
         };
-        let reference = run(1, ShardSchedule::Stripe);
+        let reference = run(1, false);
         for threads in [1usize, 2, 4, 8] {
-            for schedule in [
-                ShardSchedule::Stripe,
-                ShardSchedule::Steal,
-                ShardSchedule::StealAdversarial,
-            ] {
+            for adversarial in [false, true] {
                 assert_eq!(
                     reference,
-                    run(threads, schedule),
-                    "history diverged at {threads} threads under {schedule:?}"
+                    run(threads, adversarial),
+                    "history diverged at {threads} threads (adversarial={adversarial})"
                 );
             }
         }
@@ -2443,27 +2438,21 @@ mod tests {
         // counter is wall-clock-dependent (how often that happens varies),
         // but the claim protocol guarantees every position is claimed, so
         // across a few hundred windows at least one steal occurring is a
-        // statistical certainty on any host; the stripe schedule must
-        // record exactly zero.
-        let mut sim = skewed_sim(2, ShardSchedule::Steal);
+        // statistical certainty on any host.
+        let mut sim = skewed_sim(2);
         sim.boot();
         sim.run_until_apps_done(SimTime::from_secs(1));
         assert!(sim.windows_run() > 10, "workload too short to steal");
-        let mut stripe = skewed_sim(2, ShardSchedule::Stripe);
-        stripe.boot();
-        stripe.run_until_apps_done(SimTime::from_secs(1));
-        assert_eq!(stripe.steals(), 0, "stripe schedule must never steal");
-        // Busy-time accounting runs under every schedule and both
-        // engines; the hot shard must dominate.
+        assert!(sim.steals() > 0, "no shard was claimed off its home stripe");
         assert!(
-            stripe.shard_busy_ns() > 0,
+            sim.shard_busy_ns() > 0,
             "per-shard busy accounting recorded nothing"
         );
     }
 
     #[test]
     fn serial_engine_accounts_shard_busy_time() {
-        let mut sim = skewed_sim(1, ShardSchedule::Steal);
+        let mut sim = skewed_sim(1);
         sim.boot();
         sim.run_until_apps_done(SimTime::from_secs(1));
         assert_eq!(sim.steals(), 0, "serial engine has nothing to steal");
@@ -2471,6 +2460,39 @@ mod tests {
         assert!(sim.shard_busy_ns() > 0);
         let per_node: u64 = (0..4).map(|n| sim.shard_busy_ns_of(n)).sum();
         assert_eq!(per_node, sim.shard_busy_ns());
+    }
+
+    #[test]
+    fn periodic_checkpoint_failure_panics_once_at_any_thread_count() {
+        // A periodic checkpoint into a directory that does not exist (and
+        // cannot be created: its parent is a regular file) must surface as
+        // the one named panic, with the shards handed back. At 2 threads
+        // the run also proves the pool shuts down instead of leaving its
+        // workers parked at the barrier forever.
+        let blocker = tmp_path("ckpt-blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        for threads in [1usize, 2] {
+            let mut sim = ring_sim(threads);
+            sim.set_checkpoint_every(
+                SimDur::from_micros(100),
+                blocker.join("missing").join("run.ckpt"),
+            );
+            sim.boot();
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                sim.run_until_apps_done(SimTime::from_secs(1));
+            }));
+            let payload = outcome.expect_err("checkpoint failure must panic");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("panic payload should be a String");
+            assert!(
+                msg.starts_with("periodic checkpoint failed: "),
+                "threads={threads}: unexpected panic: {msg}"
+            );
+            assert_eq!(sim.nodes(), 4, "threads={threads}: shards not handed back");
+        }
+        let _ = std::fs::remove_file(&blocker);
     }
 
     #[test]

@@ -100,10 +100,6 @@ pub struct Experiment {
     /// Engine worker threads (1 = serial). Results are bit-identical at
     /// any setting; this only changes wall-clock time.
     pub sim_threads: usize,
-    /// Shard-assignment schedule for the parallel engine. History is
-    /// bit-identical at any setting; this only decides which worker runs
-    /// which shard inside a window.
-    pub shard_schedule: pa_cluster::ShardSchedule,
     /// Periodic checkpoint interval (sim time; None = off). Requires
     /// `checkpoint_to`.
     pub checkpoint_every: Option<SimDur>,
@@ -137,7 +133,6 @@ impl Experiment {
             trace_capacity: 1 << 18,
             horizon: SimDur::from_secs(3_600),
             sim_threads: crate::default_sim_threads(),
-            shard_schedule: crate::default_shard_schedule(),
             checkpoint_every: None,
             checkpoint_to: None,
             restore_from: None,
@@ -235,13 +230,6 @@ impl Experiment {
         self
     }
 
-    /// Set the parallel engine's shard-assignment schedule, overriding
-    /// the process-wide default ([`crate::set_default_shard_schedule`]).
-    pub fn with_shard_schedule(mut self, schedule: pa_cluster::ShardSchedule) -> Self {
-        self.shard_schedule = schedule;
-        self
-    }
-
     /// Write a checkpoint to `path` at the first window barrier at or
     /// past each multiple of `every` (sim time). The restored run replays
     /// bit-identically at any thread count.
@@ -279,7 +267,6 @@ impl Experiment {
         };
         let mut sim = ClusterSim::build(&spec, &seeds);
         sim.set_sim_threads(self.sim_threads);
-        sim.set_shard_schedule(self.shard_schedule);
 
         // Co-scheduler startup: clock sync first (it rewrites the AIX
         // clock's low-order bits from the switch clock), then one daemon

@@ -58,29 +58,3 @@ pub fn set_default_sim_threads(threads: usize) {
 pub fn default_sim_threads() -> usize {
     DEFAULT_SIM_THREADS.load(Ordering::Relaxed)
 }
-
-/// Process-wide default for the parallel engine's shard-assignment
-/// schedule, mirroring [`default_sim_threads`]: `Experiment::new` reads
-/// it so `--shard-schedule` reaches every harness without threading a
-/// parameter through each call chain. Encoded as the `ShardSchedule`
-/// discriminant; the history is bit-identical at any setting — this only
-/// decides which worker runs which shard.
-static DEFAULT_SHARD_SCHEDULE: AtomicUsize =
-    AtomicUsize::new(pa_cluster::ShardSchedule::Steal as usize);
-
-/// Set the process-wide default shard schedule. Typically called once at
-/// startup from `--shard-schedule`.
-pub fn set_default_shard_schedule(schedule: pa_cluster::ShardSchedule) {
-    DEFAULT_SHARD_SCHEDULE.store(schedule as usize, Ordering::Relaxed);
-}
-
-/// The current process-wide default shard schedule.
-pub fn default_shard_schedule() -> pa_cluster::ShardSchedule {
-    match DEFAULT_SHARD_SCHEDULE.load(Ordering::Relaxed) {
-        x if x == pa_cluster::ShardSchedule::Stripe as usize => pa_cluster::ShardSchedule::Stripe,
-        x if x == pa_cluster::ShardSchedule::StealAdversarial as usize => {
-            pa_cluster::ShardSchedule::StealAdversarial
-        }
-        _ => pa_cluster::ShardSchedule::Steal,
-    }
-}

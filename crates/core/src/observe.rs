@@ -40,9 +40,7 @@ pub fn metrics_of(out: &RunOutput) -> MetricsRegistry {
     reg.inc("engine.events_scheduled", q.scheduled);
     reg.inc("engine.events_popped", q.popped);
     reg.inc("engine.events_cancelled", q.cancelled);
-    reg.inc("engine.compactions", q.compactions);
     reg.set_gauge("engine.queue_high_water", q.max_pending as i64);
-    reg.set_gauge("engine.queue_tombstones", q.tombstones as i64);
     reg.inc("engine.windows_run", out.sim.windows_run());
     reg.inc("engine.windows_widened", out.sim.widened_windows());
     // Work-stealing and load counters are wall-clock-derived (which
@@ -400,8 +398,6 @@ mod tests {
         let reg = metrics_of(&out);
         assert!(reg.counter("engine.events_popped") > 0);
         assert!(reg.counter("engine.windows_run") > 0);
-        // Indexed queue: cancellation removes entries, nothing lingers.
-        assert_eq!(reg.gauge("engine.queue_tombstones"), Some(0));
         assert!(reg.counter("kernel.dispatches") > 0);
         assert!(reg.counter("kernel.ctx_switches") > 0);
         assert!(reg.counter("kernel.ticks") > 0);

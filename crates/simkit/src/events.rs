@@ -17,19 +17,6 @@
 //! layout halves the tree depth of a binary heap and keeps each node's
 //! children in one cache line, which is where a discrete-event simulator
 //! spends its time.
-//!
-//! # Fallback: lazy cancellation with amortized compaction
-//!
-//! [`EventQueue::new_lazy`] builds the same heap with the pre-overhaul
-//! cancellation policy — cancel only drops the id from the pending map
-//! and the heap entry lingers as a *tombstone* — but with the leak
-//! fixed: the queue counts resident tombstones and **compacts** (retains
-//! live entries, re-heapifies) as soon as dead entries outnumber live
-//! ones. That bounds resident garbage at `tombstones <= live` while
-//! keeping cancel O(1) amortized. Dead roots are drained eagerly on
-//! `cancel`/`pop` so the root is always live and `peek_time` stays
-//! `&self` in both modes. [`QueueStats::tombstones`] (resident gauge)
-//! and [`QueueStats::compactions`] surface queue health to `pa-obs`.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -115,19 +102,12 @@ impl<E> Entry<E> {
 pub struct QueueStats {
     /// Events ever scheduled.
     pub scheduled: u64,
-    /// Live events popped (tombstones excluded).
+    /// Events popped.
     pub popped: u64,
     /// Successful cancellations.
     pub cancelled: u64,
     /// High-water mark of live events pending at once.
     pub max_pending: u64,
-    /// Dead entries currently resident in the heap (a gauge, not a
-    /// lifetime total). Always 0 in indexed mode, bounded by the live
-    /// count in lazy mode — a growing value here is the leak this field
-    /// exists to catch.
-    pub tombstones: u64,
-    /// Times the lazy fallback compacted tombstones out of the heap.
-    pub compactions: u64,
 }
 
 impl QueueStats {
@@ -136,15 +116,12 @@ impl QueueStats {
     /// `max_pending` adds too, making the merged value an upper bound on
     /// simultaneously pending events that — unlike a true global
     /// high-water mark — does not depend on how shard processing
-    /// interleaves, so it is identical at any thread count. The
-    /// `tombstones` gauge likewise adds to a whole-engine resident total.
+    /// interleaves, so it is identical at any thread count.
     pub fn absorb(&mut self, other: QueueStats) {
         self.scheduled += other.scheduled;
         self.popped += other.popped;
         self.cancelled += other.cancelled;
         self.max_pending += other.max_pending;
-        self.tombstones += other.tombstones;
-        self.compactions += other.compactions;
     }
 }
 
@@ -164,17 +141,11 @@ impl QueueStats {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// 4-ary min-heap by `(time, id)`. Invariant (both modes): slot 0,
-    /// when present, holds a *live* entry.
+    /// 4-ary min-heap by `(time, id)`. Every entry is live.
     heap: Vec<Entry<E>>,
     /// Ids scheduled but neither fired nor cancelled, mapped to their
-    /// heap slot. Slots are maintained only in indexed mode; the lazy
-    /// fallback uses this purely as the pending set.
+    /// heap slot.
     live: PosMap,
-    /// Lazy-cancellation fallback when true (see module docs).
-    lazy: bool,
-    /// Dead entries resident in the heap (lazy mode only; 0 otherwise).
-    dead: u32,
     next_id: u64,
     now: SimTime,
     stats: QueueStats,
@@ -187,35 +158,15 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue positioned at the epoch, with indexed (true
-    /// removal) cancellation. This is the production configuration.
+    /// An empty queue positioned at the epoch.
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
             live: PosMap::default(),
-            lazy: false,
-            dead: 0,
             next_id: 0,
             now: SimTime::ZERO,
             stats: QueueStats::default(),
         }
-    }
-
-    /// An empty queue using the lazy-cancellation fallback: `cancel` is
-    /// O(1) and leaves a tombstone, the heap compacts whenever dead
-    /// entries outnumber live ones. Same observable pop order and stats
-    /// semantics as [`EventQueue::new`] apart from the
-    /// `tombstones`/`compactions` fields.
-    pub fn new_lazy() -> Self {
-        EventQueue {
-            lazy: true,
-            ..Self::new()
-        }
-    }
-
-    /// True if this queue uses the lazy-cancellation fallback.
-    pub fn is_lazy(&self) -> bool {
-        self.lazy
     }
 
     /// Lifetime totals for this queue (engine self-profile).
@@ -239,28 +190,17 @@ impl<E> EventQueue<E> {
         self.live.is_empty()
     }
 
-    /// Heap entries physically resident, live plus tombstones. Equals
-    /// [`EventQueue::len`] in indexed mode; in lazy mode the compaction
-    /// policy bounds it at `2 * len() + 1`.
-    pub fn resident_len(&self) -> usize {
-        self.heap.len()
-    }
-
     #[inline]
     fn entry_less(a: &Entry<E>, b: &Entry<E>) -> bool {
         a.key() < b.key()
     }
 
-    /// Record that the entry in heap slot `i` now lives there. Position
-    /// upkeep is an indexed-mode concern; the lazy fallback never reads
-    /// slots.
+    /// Record that the entry in heap slot `i` now lives there.
     #[inline]
     fn set_pos(&mut self, i: usize) {
-        if !self.lazy {
-            let id = self.heap[i].id;
-            if let Some(slot) = self.live.get_mut(&id) {
-                *slot = i as u32;
-            }
+        let id = self.heap[i].id;
+        if let Some(slot) = self.live.get_mut(&id) {
+            *slot = i as u32;
         }
     }
 
@@ -302,8 +242,8 @@ impl<E> EventQueue<E> {
         self.set_pos(i);
     }
 
-    /// Remove the entry at heap slot `i` (indexed mode), restoring the
-    /// heap property around the hole.
+    /// Remove the entry at heap slot `i`, restoring the heap property
+    /// around the hole.
     fn remove_at(&mut self, i: usize) {
         self.heap.swap_remove(i);
         if i < self.heap.len() {
@@ -315,35 +255,6 @@ impl<E> EventQueue<E> {
                 self.sift_down(i);
             }
         }
-    }
-
-    /// Lazy mode: pop dead entries off the root until it is live, so
-    /// `peek_time` can stay a `&self` read of slot 0.
-    fn drain_dead_roots(&mut self) {
-        while let Some(e) = self.heap.first() {
-            if self.live.contains_key(&e.id) {
-                break;
-            }
-            self.heap.swap_remove(0);
-            if !self.heap.is_empty() {
-                self.sift_down(0);
-            }
-            self.dead -= 1;
-        }
-    }
-
-    /// Lazy mode: rebuild the heap from its live entries. O(n), paid at
-    /// most once per n cancellations since the trigger is dead > live.
-    fn compact(&mut self) {
-        let Self { heap, live, .. } = self;
-        heap.retain(|e| live.contains_key(&e.id));
-        if self.heap.len() > 1 {
-            for i in (0..=(self.heap.len() - 2) / D).rev() {
-                self.sift_down(i);
-            }
-        }
-        self.dead = 0;
-        self.stats.compactions += 1;
     }
 
     /// Schedule `payload` at `time`.
@@ -373,24 +284,13 @@ impl<E> EventQueue<E> {
     /// still pending (and is now dead), `false` if it had already fired,
     /// been cancelled, or is [`EventId::NONE`].
     ///
-    /// Indexed mode removes the heap entry outright (O(log n)); the lazy
-    /// fallback leaves a tombstone and compacts when dead entries
-    /// outnumber live ones.
+    /// The heap entry is removed outright (O(log n)).
     pub fn cancel(&mut self, id: EventId) -> bool {
         let Some(pos) = self.live.remove(&id) else {
             return false;
         };
         self.stats.cancelled += 1;
-        if self.lazy {
-            self.dead += 1;
-            self.drain_dead_roots();
-            if usize::try_from(self.dead).unwrap_or(usize::MAX) > self.live.len() {
-                self.compact();
-            }
-            self.stats.tombstones = u64::from(self.dead);
-        } else {
-            self.remove_at(pos as usize);
-        }
+        self.remove_at(pos as usize);
         true
     }
 
@@ -410,18 +310,7 @@ impl<E> EventQueue<E> {
             self.sift_down(0);
         }
         let was_live = self.live.remove(&entry.id).is_some();
-        debug_assert!(was_live, "heap root was a tombstone");
-        if self.lazy {
-            self.drain_dead_roots();
-            // A pop shrinks the live set, so it can push the dead share
-            // over the cancel-path threshold; compacting here too keeps
-            // `tombstones <= live` after *every* operation, not just
-            // after cancels.
-            if usize::try_from(self.dead).unwrap_or(usize::MAX) > self.live.len() {
-                self.compact();
-            }
-            self.stats.tombstones = u64::from(self.dead);
-        }
+        debug_assert!(was_live, "heap root was not pending");
         debug_assert!(entry.time >= self.now, "event queue went backwards");
         self.now = entry.time;
         self.stats.popped += 1;
@@ -445,15 +334,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Live (non-cancelled) entries as `(time, raw event id, payload)`,
-    /// sorted in pop order `(time, id)`. Tombstones of cancelled events
-    /// are omitted — they are unobservable and need not survive a
-    /// checkpoint. Ids are exposed raw so a restored queue can reproduce
-    /// the exact FIFO tie-breaking of the original.
+    /// sorted in pop order `(time, id)`. Ids are exposed raw so a
+    /// restored queue can reproduce the exact FIFO tie-breaking of the
+    /// original.
     pub fn live_entries(&self) -> Vec<(SimTime, u64, &E)> {
         let mut out: Vec<(SimTime, u64, &E)> = self
             .heap
             .iter()
-            .filter(|e| self.live.contains_key(&e.id))
             .map(|e| (e.time, e.id.0, &e.payload))
             .collect();
         out.sort_by_key(|&(t, id, _)| (t, id));
@@ -468,9 +355,7 @@ impl<E> EventQueue<E> {
     /// Rebuild a queue from checkpointed parts: clock position, id
     /// allocator, lifetime stats, and the live entries with their
     /// original ids. The inverse of [`EventQueue::live_entries`] plus the
-    /// scalar accessors. The rebuilt queue is always indexed — tombstones
-    /// do not survive a checkpoint, so its `tombstones` gauge restarts at
-    /// zero regardless of what the snapshot's stats carried.
+    /// scalar accessors.
     ///
     /// Errors (rather than corrupting causality) if an entry lies in the
     /// past of `now`, reuses an id, or holds an id at or above `next_id`.
@@ -506,14 +391,9 @@ impl<E> EventQueue<E> {
         let mut q = EventQueue {
             heap,
             live,
-            lazy: false,
-            dead: 0,
             next_id,
             now,
-            stats: QueueStats {
-                tombstones: 0,
-                ..stats
-            },
+            stats,
         };
         if q.heap.len() > 1 {
             for i in (0..=(q.heap.len() - 2) / D).rev() {
@@ -523,9 +403,8 @@ impl<E> EventQueue<E> {
         Ok(q)
     }
 
-    /// Timestamp of the next live event without popping it. The root is
-    /// live by invariant in both modes, so this is one bounds check and
-    /// one load.
+    /// Timestamp of the next live event without popping it: one bounds
+    /// check and one load.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| e.time)
     }
@@ -641,8 +520,6 @@ mod tests {
         assert_eq!(s.cancelled, 1);
         assert_eq!(s.popped, 2);
         assert_eq!(s.max_pending, 3);
-        assert_eq!(s.tombstones, 0, "indexed mode never leaves tombstones");
-        assert_eq!(s.compactions, 0);
     }
 
     #[test]
@@ -673,16 +550,12 @@ mod tests {
             popped: 8,
             cancelled: 1,
             max_pending: 4,
-            tombstones: 1,
-            compactions: 2,
         };
         let mut b = QueueStats {
             scheduled: 3,
             popped: 3,
             cancelled: 0,
             max_pending: 2,
-            tombstones: 0,
-            compactions: 1,
         };
         b.absorb(a);
         assert_eq!(
@@ -692,8 +565,6 @@ mod tests {
                 popped: 11,
                 cancelled: 1,
                 max_pending: 6,
-                tombstones: 1,
-                compactions: 3,
             }
         );
     }
@@ -736,7 +607,11 @@ mod tests {
         let mut r = EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries).unwrap();
         assert_eq!(r.now(), q.now());
         assert_eq!(r.stats(), q.stats());
-        assert_eq!(r.len(), 3, "tombstone must not survive the round trip");
+        assert_eq!(
+            r.len(),
+            3,
+            "cancelled entry must not survive the round trip"
+        );
         // Same-timestamp events keep their original FIFO order.
         assert_eq!(r.pop().unwrap().1, "tie-a");
         assert_eq!(r.pop().unwrap().1, "tie-b");
@@ -799,12 +674,7 @@ mod tests {
             assert!(q.cancel(*id));
         }
         assert_eq!(q.len(), 50);
-        assert_eq!(
-            q.resident_len(),
-            50,
-            "indexed cancel must physically remove the entry"
-        );
-        assert_eq!(q.stats().tombstones, 0);
+        assert_eq!(q.heap.len(), 50, "cancel must physically remove the entry");
         // Survivors still pop in (time, id) order.
         let mut last = (SimTime::ZERO, 0u32);
         let mut popped = 0;
@@ -814,94 +684,6 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 50);
-    }
-
-    #[test]
-    fn lazy_mode_bounds_tombstones_and_compacts() {
-        let mut q = EventQueue::new_lazy();
-        assert!(q.is_lazy());
-        // Timer re-arm pattern: a near event stays live at the root while
-        // far-future timers are repeatedly armed and cancelled behind it.
-        // The old queue leaked one buried heap entry per round; the
-        // compaction policy must keep residency bounded.
-        q.schedule(SimTime::from_micros(10), u64::MAX);
-        let mut prev = None;
-        for i in 0..1_000u64 {
-            let id = q.schedule(SimTime::from_micros(1_000 + i), i);
-            if let Some(p) = prev.replace(id) {
-                q.cancel(p);
-            }
-            assert!(
-                q.stats().tombstones <= q.len() as u64,
-                "round {i}: {} tombstones vs {} live",
-                q.stats().tombstones,
-                q.len()
-            );
-            assert!(q.resident_len() <= 2 * q.len() + 1);
-        }
-        assert_eq!(q.len(), 2);
-        assert!(q.stats().compactions > 0, "compaction never triggered");
-        assert_eq!(q.pop().unwrap().1, u64::MAX);
-        assert_eq!(q.pop().unwrap().1, 999);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn lazy_peek_and_pop_skip_dead_roots() {
-        let mut q = EventQueue::new_lazy();
-        let a = q.schedule(SimTime::from_micros(1), "a");
-        let b = q.schedule(SimTime::from_micros(2), "b");
-        q.schedule(SimTime::from_micros(3), "c");
-        q.cancel(a);
-        // Root was the cancelled entry; the eager root drain keeps
-        // peek_time a &self read.
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(2)));
-        q.cancel(b);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert!(q.pop().is_none());
-        assert_eq!(q.stats().tombstones, 0);
-    }
-
-    #[test]
-    fn lazy_and_indexed_agree_on_pop_order_and_core_stats() {
-        // Deterministic interleaving of schedule/cancel/pop across both
-        // policies; the big randomized version lives in the workspace
-        // proptest suite.
-        let mut qi = EventQueue::new();
-        let mut ql = EventQueue::new_lazy();
-        let mut ids_i = Vec::new();
-        let mut ids_l = Vec::new();
-        let mut x = 9_u64;
-        for round in 0..200u64 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            // Anchor at the (mirrored) clock so pops never strand later
-            // schedules in the past.
-            let t = qi.now() + SimDur::from_micros(1 + (x >> 33) % 50);
-            ids_i.push(qi.schedule(t, round));
-            ids_l.push(ql.schedule(t, round));
-            if x % 3 == 0 && !ids_i.is_empty() {
-                let k = (x as usize >> 7) % ids_i.len();
-                assert_eq!(qi.cancel(ids_i[k]), ql.cancel(ids_l[k]));
-            }
-            if x % 5 == 0 {
-                assert_eq!(qi.pop(), ql.pop());
-            }
-            assert_eq!(qi.peek_time(), ql.peek_time());
-            assert_eq!(qi.len(), ql.len());
-        }
-        loop {
-            let (a, b) = (qi.pop(), ql.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        let (si, sl) = (qi.stats(), ql.stats());
-        assert_eq!(si.scheduled, sl.scheduled);
-        assert_eq!(si.popped, sl.popped);
-        assert_eq!(si.cancelled, sl.cancelled);
-        assert_eq!(si.max_pending, sl.max_pending);
     }
 
     #[test]

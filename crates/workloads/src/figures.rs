@@ -144,13 +144,6 @@ impl ScalingConfig {
             horizon: self.target_sim_time,
             link_bandwidth: self.link_bandwidth,
             policy: None,
-            // Mirror the kernel block into the explicit canonical key so
-            // per-dispatcher sweeps are visible in the spec itself (None
-            // keeps pre-dispatcher AIX specs' canonical form unchanged).
-            dispatcher: match self.kernel.dispatcher {
-                pa_kernel::DispatcherKind::Aix => None,
-                k => Some(k.as_str().to_string()),
-            },
         }
     }
 

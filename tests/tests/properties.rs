@@ -150,10 +150,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Event queue vs the old heap: the indexed queue and the lazy-tombstone
-// fallback must both replay the exact pop order and core stats of the
-// structure they replaced (a plain binary heap + pending set) under any
-// interleaving of schedule/cancel/advance_to/pop.
+// Event queue vs the old heap: the indexed queue must replay the exact
+// pop order and core stats of the structure it replaced (a plain binary
+// heap + pending set) under any interleaving of
+// schedule/cancel/advance_to/pop.
 // ---------------------------------------------------------------------
 
 /// Reference model of the pre-overhaul queue: ids are handed out in
@@ -222,12 +222,8 @@ fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
     })
 }
 
-fn check_queue_against_model(ops: &[QueueOp], lazy: bool) -> Result<(), TestCaseError> {
-    let mut q = if lazy {
-        EventQueue::<usize>::new_lazy()
-    } else {
-        EventQueue::<usize>::new()
-    };
+fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
+    let mut q = EventQueue::<usize>::new();
     let mut model = ModelQueue::new();
     // Parallel id registries for the same logical live entry.
     let mut ids: Vec<(pa_simkit::EventId, u64)> = Vec::new();
@@ -264,9 +260,8 @@ fn check_queue_against_model(ops: &[QueueOp], lazy: bool) -> Result<(), TestCase
                 prop_assert_eq!(
                     got.map(|(t, v)| (t.nanos(), v)),
                     want,
-                    "pop diverged at step {} (lazy={})",
-                    step,
-                    lazy
+                    "pop diverged at step {}",
+                    step
                 );
                 // The popped entry's id pair stays in `ids`; a later
                 // cancel picking it is a no-op in both queue and model,
@@ -276,23 +271,10 @@ fn check_queue_against_model(ops: &[QueueOp], lazy: bool) -> Result<(), TestCase
         prop_assert_eq!(
             q.peek_time().map(SimTime::nanos),
             model.peek_time(),
-            "peek diverged at step {} (lazy={})",
-            step,
-            lazy
-        );
-        let live = model.live.len();
-        prop_assert!(
-            q.stats().tombstones as usize <= live.max(1),
-            "tombstones exceed live entries at step {}",
+            "peek diverged at step {}",
             step
         );
-        prop_assert!(
-            q.resident_len() <= 2 * live + 1,
-            "resident {} exceeds 2*{}+1 at step {}",
-            q.resident_len(),
-            live,
-            step
-        );
+        prop_assert_eq!(q.len(), model.live.len(), "len diverged at step {}", step);
     }
     // Drain both to the end: full remaining order must agree.
     loop {
@@ -307,32 +289,25 @@ fn check_queue_against_model(ops: &[QueueOp], lazy: bool) -> Result<(), TestCase
     prop_assert_eq!(s.scheduled, model.scheduled);
     prop_assert_eq!(s.popped, model.popped);
     prop_assert_eq!(s.cancelled, model.cancelled);
-    prop_assert_eq!(s.tombstones, 0, "drained queue still reports tombstones");
     Ok(())
 }
 
 proptest! {
     #[test]
     fn indexed_queue_matches_old_heap_model(ops in prop::collection::vec(arb_queue_op(), 1..300)) {
-        check_queue_against_model(&ops, false)?;
+        check_queue_against_model(&ops)?;
     }
 
     #[test]
-    fn lazy_queue_matches_old_heap_model(ops in prop::collection::vec(arb_queue_op(), 1..300)) {
-        check_queue_against_model(&ops, true)?;
-    }
-
-    #[test]
-    fn queue_with_live_tombstones_roundtrips_through_checkpoint(
+    fn queue_with_cancelled_entries_roundtrips_through_checkpoint(
         times in prop::collection::vec(1u64..1_000_000, 2..80),
         cancel_mask in prop::collection::vec(any::<bool>(), 2..80),
     ) {
-        // A lazy queue mid-flight: some entries cancelled (tombstones may
-        // be resident), then checkpointed via the same live_entries /
-        // from_parts path the engine snapshot uses. The restored queue
-        // must replay the identical pop sequence, with no tombstones
-        // surviving the round trip.
-        let mut q = EventQueue::<usize>::new_lazy();
+        // A queue mid-flight: some entries cancelled, then checkpointed
+        // via the same live_entries / from_parts path the engine snapshot
+        // uses. The restored queue must replay the identical pop sequence
+        // and hold only the live entries.
+        let mut q = EventQueue::<usize>::new();
         let ids: Vec<_> = times
             .iter()
             .enumerate()
@@ -350,7 +325,7 @@ proptest! {
             .collect();
         let mut restored =
             EventQueue::from_parts(q.now(), q.next_id_raw(), q.stats(), entries).unwrap();
-        prop_assert_eq!(restored.stats().tombstones, 0);
+        prop_assert_eq!(restored.len(), q.len());
         loop {
             let want = q.pop();
             let got = restored.pop();
@@ -590,12 +565,6 @@ fn cancel_heavy_cosched_history_is_identical_at_1_2_4_8_threads() {
     assert!(
         serial.2.cancelled > 0,
         "spec produced no cancellations: {:?}",
-        serial.2
-    );
-    let live = serial.2.scheduled - serial.2.popped - serial.2.cancelled;
-    assert!(
-        serial.2.tombstones <= live.max(1),
-        "tombstones unbounded: {:?}",
         serial.2
     );
     for threads in [2usize, 4, 8] {

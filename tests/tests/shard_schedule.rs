@@ -2,11 +2,11 @@
 //! scheduler: assignment decides only *which worker* advances a shard
 //! inside a window, so the canonical metrics snapshot (which omits the
 //! nondeterministic `local.*` namespace), the per-node trace buffers,
-//! and the blame report must all be byte-identical across every
-//! schedule (static stripe, heaviest-first stealing, adversarial
-//! rotating claim order) at `--sim-threads` 1/2/4/8.
+//! and the blame report must all be byte-identical under heaviest-first
+//! stealing and the adversarial rotating claim order at `--sim-threads`
+//! 1/2/4/8.
 
-use pa_cluster::ShardSchedule;
+use pa_cluster::ClusterSim;
 use pa_core::{blame_of, metrics_of, Experiment};
 use pa_mpi::{MpiOp, OpList, RankWorkload};
 use pa_simkit::SimDur;
@@ -35,22 +35,29 @@ fn skewed_workload(tasks_per_node: u32) -> impl FnMut(u32) -> Box<dyn RankWorklo
 
 /// Everything observable from one run: canonical metrics (minus
 /// `local.*` by construction), node 0's trace buffer, and the blame
-/// report's canonical JSON.
+/// report's canonical JSON. `adversarial` runs under the engine's
+/// adversarial claim-order test hook instead of heaviest-first stealing.
 fn fingerprint(
     seed: u64,
     link_bw: Option<f64>,
     threads: usize,
-    schedule: ShardSchedule,
+    adversarial: bool,
 ) -> (String, Vec<pa_trace::TraceEvent>, String) {
-    let out = Experiment::new(4, 2)
-        .with_cpus_per_node(4)
-        .with_trace_node(0)
-        .with_record_all_ranks()
-        .with_seed(seed)
-        .with_link_bandwidth(link_bw)
-        .with_sim_threads(threads)
-        .with_shard_schedule(schedule)
-        .run(&mut skewed_workload(2));
+    let run = || {
+        Experiment::new(4, 2)
+            .with_cpus_per_node(4)
+            .with_trace_node(0)
+            .with_record_all_ranks()
+            .with_seed(seed)
+            .with_link_bandwidth(link_bw)
+            .with_sim_threads(threads)
+            .run(&mut skewed_workload(2))
+    };
+    let out = if adversarial {
+        ClusterSim::with_adversarial_claims(run)
+    } else {
+        run()
+    };
     let trace: Vec<pa_trace::TraceEvent> = out.sim.kernel(0).trace().events().copied().collect();
     let blame = pa_blame::BlameReport {
         title: "sched".into(),
@@ -63,25 +70,21 @@ fn fingerprint(
 
 #[test]
 fn shard_schedule_permutations_replay_identical_history() {
-    let reference = fingerprint(42, None, 1, ShardSchedule::Stripe);
+    let reference = fingerprint(42, None, 1, false);
     for threads in [1usize, 2, 4, 8] {
-        for schedule in [
-            ShardSchedule::Stripe,
-            ShardSchedule::Steal,
-            ShardSchedule::StealAdversarial,
-        ] {
-            let got = fingerprint(42, None, threads, schedule);
+        for adversarial in [false, true] {
+            let got = fingerprint(42, None, threads, adversarial);
             assert_eq!(
                 reference.0, got.0,
-                "metrics diverge at {threads} threads under {schedule:?}"
+                "metrics diverge at {threads} threads (adversarial={adversarial})"
             );
             assert_eq!(
                 reference.1, got.1,
-                "trace diverges at {threads} threads under {schedule:?}"
+                "trace diverges at {threads} threads (adversarial={adversarial})"
             );
             assert_eq!(
                 reference.2, got.2,
-                "blame diverges at {threads} threads under {schedule:?}"
+                "blame diverges at {threads} threads (adversarial={adversarial})"
             );
         }
     }
@@ -96,20 +99,20 @@ proptest! {
         seed in 0u64..10_000,
         link_bw in (any::<bool>(), 1e6f64..1e9).prop_map(|(l, bw)| l.then_some(bw)),
     ) {
-        let reference = fingerprint(seed, link_bw, 1, ShardSchedule::Stripe);
-        for schedule in [ShardSchedule::Steal, ShardSchedule::StealAdversarial] {
-            let got = fingerprint(seed, link_bw, 4, schedule);
+        let reference = fingerprint(seed, link_bw, 1, false);
+        for adversarial in [false, true] {
+            let got = fingerprint(seed, link_bw, 4, adversarial);
             prop_assert_eq!(
                 &reference.0, &got.0,
-                "metrics diverge (seed={}, link_bw={:?}, {:?})", seed, link_bw, schedule
+                "metrics diverge (seed={}, link_bw={:?}, adversarial={})", seed, link_bw, adversarial
             );
             prop_assert_eq!(
                 &reference.1, &got.1,
-                "trace diverges (seed={}, link_bw={:?}, {:?})", seed, link_bw, schedule
+                "trace diverges (seed={}, link_bw={:?}, adversarial={})", seed, link_bw, adversarial
             );
             prop_assert_eq!(
                 &reference.2, &got.2,
-                "blame diverges (seed={}, link_bw={:?}, {:?})", seed, link_bw, schedule
+                "blame diverges (seed={}, link_bw={:?}, adversarial={})", seed, link_bw, adversarial
             );
         }
     }

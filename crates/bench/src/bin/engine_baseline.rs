@@ -124,6 +124,9 @@ fn timeline_scenario(calls: usize) -> Scenario {
 struct SpeedupPoint {
     threads: usize,
     events: u64,
+    /// Sum over windows of the shards with an event in them (identical
+    /// at every thread count, like `events`).
+    shard_windows: u64,
     wall_s: f64,
     events_per_sec: f64,
     speedup: f64,
@@ -165,7 +168,7 @@ fn cancel_heavy_wl(rank: u32, iters: usize) -> Box<dyn RankWorkload> {
 /// is bit-identical at every point; only the wall clock moves. Each
 /// point takes the minimum wall time over `reps` runs to shed scheduler
 /// jitter. Asserts the workload actually exercised cancellation and that
-/// event counts agree across thread counts.
+/// event and shard-window counts agree across thread counts.
 fn thread_scaling(
     nodes: u32,
     tasks: u32,
@@ -174,8 +177,9 @@ fn thread_scaling(
     reps: u32,
 ) -> Vec<SpeedupPoint> {
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let run = |threads: usize| -> (u64, f64, u64, u64) {
+    let run = |threads: usize| -> (u64, u64, f64, u64, u64) {
         let mut events = 0u64;
+        let mut shard_windows = 0u64;
         let mut wall = f64::INFINITY;
         let mut cancelled = 0u64;
         let mut steals = 0u64;
@@ -194,17 +198,22 @@ fn thread_scaling(
                 steals = out.sim.steals();
             }
             events = out.events;
+            shard_windows = out.sim.shard_windows();
             cancelled = out.sim.queue_stats().cancelled;
         }
-        (events, wall, cancelled, steals)
+        (events, shard_windows, wall, cancelled, steals)
     };
     let mut points: Vec<SpeedupPoint> = Vec::new();
     for &threads in threads_list {
-        let (events, wall, cancelled, steals) = run(threads);
+        let (events, shard_windows, wall, cancelled, steals) = run(threads);
         if let Some(base) = points.first() {
             assert_eq!(
                 events, base.events,
                 "sharded engine diverged from serial at {threads} threads"
+            );
+            assert_eq!(
+                shard_windows, base.shard_windows,
+                "active shard-window count diverged at {threads} threads"
             );
             assert_eq!(
                 cancelled, base.cancelled,
@@ -220,6 +229,7 @@ fn thread_scaling(
         points.push(SpeedupPoint {
             threads,
             events,
+            shard_windows,
             wall_s: wall,
             events_per_sec: events as f64 / wall,
             speedup: base_wall / wall,
@@ -339,6 +349,7 @@ fn curve_rows(curve: &[SpeedupPoint], host_parallelism: usize) -> Vec<Value> {
             Value::Map(vec![
                 ("threads".into(), Value::UInt(p.threads as u64)),
                 ("events".into(), Value::UInt(p.events)),
+                ("shard_windows".into(), Value::UInt(p.shard_windows)),
                 ("wall_s".into(), Value::Float(p.wall_s)),
                 ("events_per_sec".into(), Value::Float(p.events_per_sec)),
                 ("speedup".into(), Value::Float(p.speedup)),

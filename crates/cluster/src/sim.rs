@@ -181,7 +181,7 @@ impl Shard {
     /// representable).
     fn process_window(&mut self, window_end: SimTime, inclusive: bool, fabric: &FabricModel) {
         while let Some(t) = self.queue.peek_time() {
-            if t > window_end || (t == window_end && !inclusive) {
+            if !in_window(t, window_end, inclusive) {
                 break;
             }
             let (now, ev) = self.queue.pop().expect("peeked event vanished");
@@ -194,14 +194,18 @@ impl Shard {
         }
     }
 
+    /// Earliest pending event in nanoseconds (`u64::MAX` when none).
+    fn next_ns(&self) -> u64 {
+        self.queue.peek_time().map_or(u64::MAX, SimTime::nanos)
+    }
+
     /// Fold this shard's state after a window into `tally`: its earliest
     /// pending event, its live application threads, and the cross-shard
     /// messages it staged.
     fn report(&mut self, tally: &mut WindowTally) {
-        if let Some(t) = self.queue.peek_time() {
-            tally.next_ns = tally.next_ns.min(t.nanos());
-        }
-        tally.apps += self.kernel.app_alive();
+        tally
+            .ran
+            .push((self.node, self.next_ns(), self.kernel.app_alive()));
         tally.staged.append(&mut self.outbox);
     }
 
@@ -409,22 +413,37 @@ fn link_wait_bucket(wait: SimDur) -> usize {
         .unwrap_or(LINK_WAIT_EDGES_NS.len())
 }
 
-/// What the coordinator learns from one window: earliest next event,
-/// live application threads, and the staged cross-shard messages. Built
-/// up shard by shard, so the top of the loop never rescans every shard.
+/// What the coordinator learns from one window: a report from every
+/// shard that ran, and the staged cross-shard messages. Shards that did
+/// not run are unchanged, so the top of the loop never rescans them.
+#[derive(Default)]
 struct WindowTally {
-    /// Earliest pending event, nanoseconds (`u64::MAX` when none).
-    next_ns: u64,
-    apps: usize,
+    /// `(node, earliest pending event ns or u64::MAX, live application
+    /// threads)` for each shard that ran.
+    ran: Vec<(u32, u64, usize)>,
     staged: Vec<StagedMsg>,
 }
 
-impl Default for WindowTally {
-    fn default() -> Self {
-        WindowTally {
-            next_ns: u64::MAX,
-            apps: 0,
-            staged: Vec::new(),
+/// The coordinator's per-shard view between windows (see
+/// [`ClusterSim::coordinate`]). It lives with the shards instead of
+/// being allocated per run: a per-run allocation lands among the event
+/// heaps as they grow and measurably raised the process's peak RSS.
+#[derive(Default)]
+struct Frontier {
+    /// Earliest pending event per shard, ns (`u64::MAX` when none).
+    next_at: Vec<u64>,
+    /// Live application threads per shard.
+    apps_at: Vec<usize>,
+    /// This window's active shards, ascending.
+    active: Vec<u32>,
+}
+
+impl Frontier {
+    fn new(n: usize) -> Self {
+        Frontier {
+            next_at: vec![u64::MAX; n],
+            apps_at: vec![0; n],
+            active: Vec::with_capacity(n),
         }
     }
 }
@@ -432,6 +451,11 @@ impl Default for WindowTally {
 /// Wall-clock load accounting: a `local.*` diagnostic and the input of
 /// the pool's claim order. Nothing deterministic reads it, and it is
 /// never checkpointed (losing it only costs a few warm-up windows).
+///
+/// Only the shards that ran in a window are timed. An idle shard's
+/// estimate is therefore frozen at its last active window rather than
+/// decayed toward zero: heaviest-first ordering compares shards by what
+/// they cost when they last had work.
 struct HostLoad {
     /// Cumulative measured `process_window` wall time per shard.
     busy_ns: Vec<u64>,
@@ -464,22 +488,24 @@ impl HostLoad {
 }
 
 /// How the coordinator reaches the shards while it owns a run. The
-/// inline executor is the shard vector itself, walked in order on the
-/// calling thread; [`Pool`] spreads each window over worker threads.
-/// Either way every shard processes exactly the same window, so the
-/// choice never reaches the history.
+/// inline executor is the shard vector itself, its active shards walked
+/// in order on the calling thread; [`Pool`] spreads each window's active
+/// shards over worker threads. Either way every active shard processes
+/// exactly the same window, so the choice never reaches the history.
 trait ShardExec {
     fn shard_count(&self) -> usize;
 
     /// Exclusive access to shard `i` between windows.
     fn with_shard<R>(&mut self, i: usize, f: impl FnOnce(&mut Shard) -> R) -> R;
 
-    /// Advance every shard through the window ending at `end`, charging
-    /// wall time to `load` and folding each shard's [`Shard::report`]
-    /// into `tally`. Returns false when a shard panicked: the window is
-    /// then incomplete and must not be merged.
+    /// Advance the `active` shards (ascending indices, never empty)
+    /// through the window ending at `end`, charging wall time to `load`
+    /// and folding each one's [`Shard::report`] into `tally`. Returns
+    /// false when a shard panicked: the window is then incomplete and
+    /// must not be merged.
     fn run_window(
         &mut self,
+        active: &[u32],
         end: SimTime,
         inclusive: bool,
         fabric: &FabricModel,
@@ -499,16 +525,18 @@ impl ShardExec for Vec<Shard> {
 
     fn run_window(
         &mut self,
+        active: &[u32],
         end: SimTime,
         inclusive: bool,
         fabric: &FabricModel,
         load: &mut HostLoad,
         tally: &mut WindowTally,
     ) -> bool {
-        for (i, sh) in self.iter_mut().enumerate() {
+        for &i in active {
+            let sh = &mut self[i as usize];
             let t0 = Instant::now();
             sh.process_window(end, inclusive, fabric);
-            load.record(i, t0.elapsed().as_nanos() as u64);
+            load.record(i as usize, t0.elapsed().as_nanos() as u64);
             sh.report(tally);
         }
         true
@@ -539,6 +567,14 @@ fn window_bounds(t_start: SimTime, horizon: SimTime, lookahead: SimDur) -> (SimT
 fn window_end_u128(t_start: SimTime, horizon: SimTime, lookahead: SimDur) -> u128 {
     let end = u128::from(t_start.nanos()) + u128::from(lookahead.nanos());
     end.min(u128::from(horizon.nanos()) + 1)
+}
+
+/// Does an event at `t` fall inside the window closing at `end`? The one
+/// membership test: [`Shard::process_window`] and the coordinator's
+/// active-set filter both use it, so a shard is skipped exactly when it
+/// would have processed nothing.
+fn in_window(t: SimTime, end: SimTime, inclusive: bool) -> bool {
+    t < end || (inclusive && t == end)
 }
 
 /// Convert a 128-bit exclusive window end to `(end, inclusive)` bounds.
@@ -615,6 +651,9 @@ pub struct ClusterSim {
     /// Windows widened past the lookahead because the whole cluster was
     /// daemon-idle.
     widened_windows: u64,
+    /// Sum over windows of the number of shards that ran in them.
+    shard_windows: u64,
+    frontier: Frontier,
     /// Wall-clock load accounting (`local.*` diagnostics).
     load: HostLoad,
     /// Pool workers claim shards in the adversarial test order (see
@@ -801,6 +840,8 @@ impl ClusterSim {
             extras_provider: None,
             windows_run: 0,
             widened_windows: 0,
+            shard_windows: 0,
+            frontier: Frontier::new(spec.nodes as usize),
             load: HostLoad::new(spec.nodes as usize),
             adversarial_claims: ADVERSARIAL_CLAIMS.with(Cell::get),
         }
@@ -1179,7 +1220,14 @@ impl ClusterSim {
             sh.drain_effects(now, &self.fabric);
             staged.append(&mut sh.outbox);
         }
-        merge_outboxes(&mut self.shards, &self.fabric, &mut staged);
+        // The coordinator rescans every shard when a run starts, so the
+        // boot merge's delivery times need not be kept.
+        merge_outboxes(
+            &mut self.shards,
+            &self.fabric,
+            &mut staged,
+            &mut self.frontier.next_at,
+        );
     }
 
     /// Live application threads across the cluster.
@@ -1228,6 +1276,14 @@ impl ClusterSim {
     /// thread had exited (daemon-idle fast-forward).
     pub fn widened_windows(&self) -> u64 {
         self.widened_windows
+    }
+
+    /// Sum over windows of the shards that ran in them: those with an
+    /// event inside the window. Between `windows_run()` and
+    /// `nodes() × windows_run()`; a function of simulation state alone,
+    /// so identical at any `sim_threads`.
+    pub fn shard_windows(&self) -> u64 {
+        self.shard_windows
     }
 
     /// Bounds of the window opening at `t_start`, widened when the whole
@@ -1324,10 +1380,14 @@ impl ClusterSim {
         }
     }
 
-    /// The window loop. One initial scan establishes the live-app count
-    /// and earliest pending event; afterwards both are maintained from
-    /// each window's tally plus the merged deliveries, so the top of the
-    /// loop never rescans every shard. Stop conditions, window bounds,
+    /// The window loop. One initial scan records every shard's earliest
+    /// pending event and live-app count; afterwards both are maintained
+    /// from the reports of the shards that ran plus the merged
+    /// deliveries, so no window rescans the shards. Each window runs only
+    /// its active set: the shards with an event inside it. A shard left
+    /// out would have processed nothing and reported nothing new, and
+    /// cross-shard input reaches it only through the merge, which lowers
+    /// its `next_at`. Stop conditions, window bounds, the active set,
     /// per-shard event order and merge order are all functions of
     /// simulation state alone, so the history is identical under either
     /// executor at any thread count.
@@ -1337,39 +1397,71 @@ impl ClusterSim {
         horizon: SimTime,
         until_apps_done: bool,
     ) {
-        let mut tally = WindowTally::default();
-        for i in 0..shards.shard_count() {
+        let n = shards.shard_count();
+        // Taken for the run because `plan_window` borrows `self`. A panic
+        // leaves an empty one behind, which the resizes refill.
+        let Frontier {
+            mut next_at,
+            mut apps_at,
+            mut active,
+        } = std::mem::take(&mut self.frontier);
+        next_at.resize(n, u64::MAX);
+        apps_at.resize(n, 0);
+        for i in 0..n {
             shards.with_shard(i, |sh| {
-                if let Some(t) = sh.queue.peek_time() {
-                    tally.next_ns = tally.next_ns.min(t.nanos());
-                }
-                tally.apps += sh.kernel.app_alive();
+                next_at[i] = sh.next_ns();
+                apps_at[i] = sh.kernel.app_alive();
             });
         }
+        let mut apps: usize = apps_at.iter().sum();
+        let mut tally = WindowTally::default();
         loop {
-            if until_apps_done && tally.apps == 0 {
+            if until_apps_done && apps == 0 {
                 break;
             }
-            if tally.next_ns == u64::MAX || tally.next_ns > horizon.nanos() {
+            let next_ns = next_at.iter().copied().min().unwrap_or(u64::MAX);
+            if next_ns == u64::MAX || next_ns > horizon.nanos() {
                 break;
             }
-            let t_start = SimTime::from_nanos(tally.next_ns);
-            let (we, inclusive, idle) = self.plan_window(t_start, horizon, tally.apps == 0);
-            tally.next_ns = u64::MAX;
-            tally.apps = 0;
-            if !shards.run_window(we, inclusive, &self.fabric, &mut self.load, &mut tally) {
+            let (we, inclusive, idle) =
+                self.plan_window(SimTime::from_nanos(next_ns), horizon, apps == 0);
+            active.clear();
+            for (i, &t) in next_at.iter().enumerate() {
+                if in_window(SimTime::from_nanos(t), we, inclusive) {
+                    active.push(i as u32);
+                }
+            }
+            self.shard_windows += active.len() as u64;
+            if !shards.run_window(
+                &active,
+                we,
+                inclusive,
+                &self.fabric,
+                &mut self.load,
+                &mut tally,
+            ) {
                 break;
+            }
+            for (node, next, node_apps) in tally.ran.drain(..) {
+                let i = node as usize;
+                apps = apps - apps_at[i] + node_apps;
+                apps_at[i] = node_apps;
+                next_at[i] = next;
             }
             assert!(
                 !idle || tally.staged.is_empty(),
                 "daemon-idle window staged a cross-shard message"
             );
-            let merged_ns = merge_outboxes(shards, &self.fabric, &mut tally.staged);
-            tally.next_ns = tally.next_ns.min(merged_ns);
+            merge_outboxes(shards, &self.fabric, &mut tally.staged, &mut next_at);
             if let Err(e) = self.maybe_autocheckpoint(shards, we) {
                 panic!("periodic checkpoint failed: {e}");
             }
         }
+        self.frontier = Frontier {
+            next_at,
+            apps_at,
+            active,
+        };
     }
 }
 
@@ -1377,22 +1469,21 @@ impl ClusterSim {
 /// `(deliver_at, src_node, seq)` order, applying ingress-link queueing
 /// per destination as they land. `staged` is drained but keeps its
 /// capacity, so the per-barrier merge allocates nothing in steady state.
-/// Returns the earliest *final* delivery time in nanoseconds (`u64::MAX`
-/// when nothing was staged): ingress queueing may move a delivery later,
-/// and the next window must open exactly where a full queue scan would
-/// put it.
+/// Each *final* delivery time lowers its destination's `next_at` entry
+/// (nanoseconds): ingress queueing may move a delivery later, and the
+/// next window must open exactly where a full queue scan would put it.
 fn merge_outboxes<X: ShardExec>(
     shards: &mut X,
     fabric: &FabricModel,
     staged: &mut Vec<StagedMsg>,
-) -> u64 {
+    next_at: &mut [u64],
+) {
     staged.sort_by_key(|m| (m.deliver_at, m.src_node, m.seq));
-    let mut min_final_ns = u64::MAX;
     for m in staged.drain(..) {
-        let final_at = shards.with_shard(m.dst_node as usize, |sh| sh.accept_staged(m, fabric));
-        min_final_ns = min_final_ns.min(final_at.nanos());
+        let dst = m.dst_node as usize;
+        let final_at = shards.with_shard(dst, |sh| sh.accept_staged(m, fabric));
+        next_at[dst] = next_at[dst].min(final_at.nanos());
     }
-    min_final_ns
 }
 
 /// A panic caught in a pool worker, with the node it struck.
@@ -1420,9 +1511,12 @@ struct PoolShared {
     window_end_ns: AtomicU64,
     window_inclusive: AtomicBool,
     done: AtomicBool,
-    /// `order[k]` is the shard to run k-th; rewritten by the coordinator
-    /// between windows while workers are parked.
+    /// `order[k]` is the shard to run k-th; the first `active_len`
+    /// entries are rewritten by the coordinator between windows while
+    /// workers are parked.
     order: Vec<AtomicU32>,
+    /// Length of this window's claim list: its active shards.
+    active_len: AtomicUsize,
     /// Next unclaimed position in `order`.
     claim: AtomicUsize,
     /// Set by the first worker panic: everyone stops at the next claim.
@@ -1440,11 +1534,11 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl PoolShared {
-    /// One worker: per window, claim shard positions off the shared
-    /// index until none are left, so a worker that finishes early pulls
-    /// the next unprocessed shard instead of idling at the barrier. A
-    /// claim off the worker's home stripe (`k % nthreads != t`) counts as
-    /// a steal.
+    /// One worker: per window, claim positions of the active list off the
+    /// shared index until none are left, so a worker that finishes early
+    /// pulls the next unprocessed shard instead of idling at the barrier.
+    /// A claim off the worker's home stripe (`k % nthreads != t`) counts
+    /// as a steal.
     fn worker(&self, t: usize) {
         loop {
             self.barrier.wait();
@@ -1453,18 +1547,18 @@ impl PoolShared {
             }
             let we = SimTime::from_nanos(self.window_end_ns.load(Ordering::Acquire));
             let inclusive = self.window_inclusive.load(Ordering::Acquire);
+            let active_len = self.active_len.load(Ordering::Acquire);
             // Reclaim the slot's report (the coordinator drained its
             // staged list but left the capacity), so steady state
             // reallocates nothing per window.
             let mut report = std::mem::take(&mut *lock(&self.slots[t]));
-            report.tally.next_ns = u64::MAX;
-            report.tally.apps = 0;
+            report.tally.ran.clear();
             report.busy_ns = 0;
             report.shard_busy.clear();
             report.steals = 0;
             while !self.abort.load(Ordering::Acquire) {
                 let k = self.claim.fetch_add(1, Ordering::Relaxed);
-                if k >= self.shards.len() {
+                if k >= active_len {
                     break;
                 }
                 if k % self.nthreads != t {
@@ -1498,7 +1592,7 @@ impl PoolShared {
 /// The scoped worker pool: the coordinator's side of [`PoolShared`].
 struct Pool<'a> {
     shared: &'a PoolShared,
-    /// Scratch for re-sorting the claim order between windows.
+    /// Scratch for building each window's claim order.
     order_scratch: Vec<u32>,
     adversarial: bool,
     windows: usize,
@@ -1527,6 +1621,7 @@ impl Pool<'_> {
             window_inclusive: AtomicBool::new(false),
             done: AtomicBool::new(false),
             order: (0..n as u32).map(AtomicU32::new).collect(),
+            active_len: AtomicUsize::new(0),
             claim: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
             panicked: Mutex::new(None),
@@ -1539,7 +1634,7 @@ impl Pool<'_> {
             }
             let mut pool = Pool {
                 shared: &shared,
-                order_scratch: (0..n as u32).collect(),
+                order_scratch: Vec::with_capacity(n),
                 adversarial,
                 windows: 0,
             };
@@ -1574,12 +1669,14 @@ impl ShardExec for Pool<'_> {
     }
 
     /// Workers are parked at the top-of-loop barrier on entry, so the
-    /// coordinator owns the claim state here. The claim order is
-    /// heaviest-first by the busy-time EWMA — an LPT-style greedy that
-    /// starts the hot shard before the cheap ones — or, under the
-    /// adversarial test hook, a reversed order rotated every window.
+    /// coordinator owns the claim state here. The claim list is the
+    /// active set, ordered heaviest-first by the busy-time EWMA — an
+    /// LPT-style greedy that starts the hot shard before the cheap ones —
+    /// or, under the adversarial test hook, reversed and rotated every
+    /// window.
     fn run_window(
         &mut self,
+        active: &[u32],
         end: SimTime,
         inclusive: bool,
         _fabric: &FabricModel,
@@ -1587,13 +1684,14 @@ impl ShardExec for Pool<'_> {
         tally: &mut WindowTally,
     ) -> bool {
         let shared = self.shared;
-        let n = self.order_scratch.len();
+        let m = active.len();
+        self.order_scratch.clear();
         if self.adversarial {
-            let rot = self.windows % n;
-            for (k, slot) in self.order_scratch.iter_mut().enumerate() {
-                *slot = ((n - 1 - k + rot) % n) as u32;
-            }
+            let rot = self.windows % m;
+            self.order_scratch
+                .extend((0..m).map(|k| active[(m - 1 - k + rot) % m]));
         } else {
+            self.order_scratch.extend_from_slice(active);
             self.order_scratch
                 .sort_by_key(|&i| (std::cmp::Reverse(load.est[i as usize]), i));
         }
@@ -1601,6 +1699,7 @@ impl ShardExec for Pool<'_> {
         for (slot, &i) in shared.order.iter().zip(&self.order_scratch) {
             slot.store(i, Ordering::Relaxed);
         }
+        shared.active_len.store(m, Ordering::Release);
         shared.claim.store(0, Ordering::Relaxed);
         shared.window_end_ns.store(end.nanos(), Ordering::Release);
         shared.window_inclusive.store(inclusive, Ordering::Release);
@@ -1613,8 +1712,7 @@ impl ShardExec for Pool<'_> {
         let mut max_busy = 0u64;
         for slot in &shared.slots {
             let mut r = lock(slot);
-            tally.next_ns = tally.next_ns.min(r.tally.next_ns);
-            tally.apps += r.tally.apps;
+            tally.ran.append(&mut r.tally.ran);
             tally.staged.append(&mut r.tally.staged);
             load.steals += r.steals;
             min_busy = min_busy.min(r.busy_ns);
@@ -2131,6 +2229,26 @@ mod tests {
         assert!(!inc);
     }
 
+    #[test]
+    fn in_window_handles_inclusive_far_future_edge() {
+        let end = SimTime::from_micros(110);
+        assert!(in_window(SimTime::from_micros(109), end, false));
+        assert!(!in_window(end, end, false), "exclusive end is outside");
+        assert!(in_window(end, end, true));
+        assert!(!in_window(SimTime::from_micros(111), end, true));
+        // The final window at the max horizon closes inclusively at
+        // FAR_FUTURE: an event at the last representable instant is
+        // inside it, so its shard is active and processes it.
+        let (we, inc) = window_bounds(
+            SimTime::from_nanos(u64::MAX - 5),
+            SimTime::FAR_FUTURE,
+            SimDur::from_micros(10),
+        );
+        assert!(in_window(SimTime::FAR_FUTURE, we, inc));
+        assert!(in_window(SimTime::from_nanos(u64::MAX - 5), we, inc));
+        assert!(!in_window(SimTime::FAR_FUTURE, we, false));
+    }
+
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!(
@@ -2427,6 +2545,50 @@ mod tests {
                     run(threads, adversarial),
                     "history diverged at {threads} threads (adversarial={adversarial})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn idle_shards_are_skipped_without_changing_history() {
+        // Each window runs only the shards with an event inside it. The
+        // skip must never reach the history, and the active-set sizes
+        // must be a function of simulation state alone: identical at
+        // every thread count and under the adversarial claim order.
+        for (name, build) in [
+            ("skewed", skewed_sim as fn(usize) -> ClusterSim),
+            ("ring", ring_sim),
+        ] {
+            let run = |threads: usize, adversarial: bool| {
+                let mut sim = if adversarial {
+                    ClusterSim::with_adversarial_claims(|| build(threads))
+                } else {
+                    build(threads)
+                };
+                sim.boot();
+                let end = sim.run_until_apps_done(SimTime::from_secs(5));
+                let windows = sim.windows_run();
+                let shard_windows = sim.shard_windows();
+                assert!(
+                    windows <= shard_windows,
+                    "{name}: a window ran no shard ({shard_windows} < {windows})"
+                );
+                assert!(
+                    shard_windows < u64::from(sim.nodes()) * windows,
+                    "{name}: no idle shard was ever skipped ({shard_windows} shard-windows \
+                     in {windows} windows)"
+                );
+                (fingerprint(&sim, end), windows, shard_windows)
+            };
+            let reference = run(1, false);
+            for threads in [1usize, 2, 4, 8] {
+                for adversarial in [false, true] {
+                    assert_eq!(
+                        reference,
+                        run(threads, adversarial),
+                        "{name}: diverged at {threads} threads (adversarial={adversarial})"
+                    );
+                }
             }
         }
     }

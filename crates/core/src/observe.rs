@@ -43,6 +43,7 @@ pub fn metrics_of(out: &RunOutput) -> MetricsRegistry {
     reg.set_gauge("engine.queue_high_water", q.max_pending as i64);
     reg.inc("engine.windows_run", out.sim.windows_run());
     reg.inc("engine.windows_widened", out.sim.widened_windows());
+    reg.inc("engine.shard_windows", out.sim.shard_windows());
     // Work-stealing and load counters are wall-clock-derived (which
     // worker claimed which shard, how long each window took), so they are
     // nondeterministic across runs and live in the `local.*` namespace
@@ -398,6 +399,7 @@ mod tests {
         let reg = metrics_of(&out);
         assert!(reg.counter("engine.events_popped") > 0);
         assert!(reg.counter("engine.windows_run") > 0);
+        assert!(reg.counter("engine.shard_windows") >= reg.counter("engine.windows_run"));
         assert!(reg.counter("kernel.dispatches") > 0);
         assert!(reg.counter("kernel.ctx_switches") > 0);
         assert!(reg.counter("kernel.ticks") > 0);

@@ -33,7 +33,8 @@
 
 use crate::fabric::{FabricModel, LINK_WAIT_BUCKETS, LINK_WAIT_EDGES_NS};
 use pa_kernel::{
-    seg_slots_of, ClockModel, Effects, Kernel, KernelEvent, KernelSnapshot, Message, SchedOptions,
+    pop_event, schedule_effects, seg_slots_of, ClockModel, Effects, Kernel, KernelEvent,
+    KernelSnapshot, Message, SchedOptions,
 };
 use pa_simkit::{sha256_hex, EventId, EventQueue, QueueStats, SeedSpace, SimDur, SimTime};
 use serde::value::Value;
@@ -184,10 +185,8 @@ impl Shard {
             if !in_window(t, window_end, inclusive) {
                 break;
             }
-            let (now, ev) = self.queue.pop().expect("peeked event vanished");
-            if let KernelEvent::SegEnd { cpu, .. } = &ev {
-                self.seg_events[cpu.0 as usize] = EventId::NONE;
-            }
+            let (now, ev) =
+                pop_event(&mut self.queue, &mut self.seg_events).expect("peeked event vanished");
             self.events_processed += 1;
             self.kernel.handle(now, ev, &mut self.fx);
             self.drain_effects(now, fabric);
@@ -292,44 +291,9 @@ impl Shard {
         Ok(())
     }
 
-    /// Cancel the outstanding `SegEnd` entry for the CPU in `slot`.
-    fn cancel_seg_slot(queue: &mut EventQueue<KernelEvent>, slot: &mut EventId) {
-        if *slot != EventId::NONE {
-            queue.cancel(*slot);
-            *slot = EventId::NONE;
-        }
-    }
-
     /// Move kernel effects into the calendar (local) or outbox (remote).
     fn drain_effects(&mut self, now: SimTime, fabric: &FabricModel) {
-        // Interleave voided-segment cancels with schedules in program
-        // order — a handler may cancel a CPU's timer and then arm a new
-        // one for the same CPU, and the watermark says how many schedule
-        // entries precede each cancel. Keeping the original schedule
-        // order also keeps event-id assignment (and therefore FIFO
-        // tie-breaks) identical to the uncancelled engine.
-        let mut ci = 0;
-        for (idx, (t, ev)) in self.fx.schedule.drain(..).enumerate() {
-            while ci < self.fx.cancels.len() && (self.fx.cancels[ci].after as usize) <= idx {
-                let slot = &mut self.seg_events[self.fx.cancels[ci].cpu.0 as usize];
-                Self::cancel_seg_slot(&mut self.queue, slot);
-                ci += 1;
-            }
-            let seg_cpu = match &ev {
-                KernelEvent::SegEnd { cpu, .. } => Some(cpu.0 as usize),
-                _ => None,
-            };
-            let id = self.queue.schedule(t, ev);
-            if let Some(c) = seg_cpu {
-                self.seg_events[c] = id;
-            }
-        }
-        while ci < self.fx.cancels.len() {
-            let slot = &mut self.seg_events[self.fx.cancels[ci].cpu.0 as usize];
-            Self::cancel_seg_slot(&mut self.queue, slot);
-            ci += 1;
-        }
-        self.fx.cancels.clear();
+        schedule_effects(&mut self.queue, &mut self.seg_events, &mut self.fx);
         for msg in self.fx.outbound.drain(..) {
             let dst = msg.dst.node;
             assert!(dst < self.nnodes, "message to nonexistent node {dst}");

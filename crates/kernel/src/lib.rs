@@ -48,7 +48,7 @@ pub use msg::{Endpoint, Mailbox, Message, SrcSel, TagSel};
 pub use options::{CostModel, SchedOptions};
 pub use program::{Action, PeriodicLoop, Program, Script, StepCtx, WaitMode};
 pub use runq::{DispatchKey, ReadyQueue};
-pub use solo::{seg_slots_of, SoloRunner};
+pub use solo::{pop_event, schedule_effects, seg_slots_of, SoloRunner};
 pub use types::TickAlign;
 pub use types::{
     CpuId, DaemonQueuePolicy, DispatcherKind, PreemptMode, Prio, QueueDiscipline, ThreadState, Tid,

@@ -65,51 +65,19 @@ impl SoloRunner {
     fn drain_effects(&mut self) {
         let now = self.queue.now();
         let node = self.kernel.node_id();
-        let Self {
-            queue,
-            fx,
-            seg_events,
-            ..
-        } = self;
-        // Interleave voided-segment cancels with schedules in program
-        // order (a handler may cancel a CPU's timer and then arm a new
-        // one); the watermark says how many schedule entries precede
-        // each cancel.
-        let mut ci = 0;
-        for (idx, (t, ev)) in fx.schedule.drain(..).enumerate() {
-            while ci < fx.cancels.len() && (fx.cancels[ci].after as usize) <= idx {
-                cancel_slot(queue, &mut seg_events[fx.cancels[ci].cpu.0 as usize]);
-                ci += 1;
-            }
-            let seg_cpu = match &ev {
-                KernelEvent::SegEnd { cpu, .. } => Some(cpu.0 as usize),
-                _ => None,
-            };
-            let id = queue.schedule(t, ev);
-            if let Some(c) = seg_cpu {
-                seg_events[c] = id;
-            }
-        }
-        while ci < fx.cancels.len() {
-            cancel_slot(queue, &mut seg_events[fx.cancels[ci].cpu.0 as usize]);
-            ci += 1;
-        }
-        fx.cancels.clear();
-        for msg in fx.outbound.drain(..) {
+        schedule_effects(&mut self.queue, &mut self.seg_events, &mut self.fx);
+        for msg in self.fx.outbound.drain(..) {
             assert_eq!(
                 msg.dst.node, node,
                 "SoloRunner cannot route cross-node messages"
             );
-            queue.schedule(now + self.shm_latency, KernelEvent::Deliver { msg });
+            self.queue
+                .schedule(now + self.shm_latency, KernelEvent::Deliver { msg });
         }
     }
 
     fn pop_event(&mut self) -> (SimTime, KernelEvent) {
-        let (now, ev) = self.queue.pop().expect("peeked event vanished");
-        if let KernelEvent::SegEnd { cpu, .. } = ev {
-            self.seg_events[cpu.0 as usize] = EventId::NONE;
-        }
-        (now, ev)
+        pop_event(&mut self.queue, &mut self.seg_events).expect("peeked event vanished")
     }
 
     /// Boot the kernel at the current time.
@@ -152,6 +120,67 @@ impl SoloRunner {
         }
         horizon
     }
+}
+
+/// Move one handler's calendar effects into `queue`: its schedules and
+/// its voided-segment cancels ([`Effects::cancels`]), interleaved in
+/// program order by each cancel's watermark, since a handler may void a
+/// CPU's timer and then arm a new one for the same CPU. `seg_events`
+/// holds the one outstanding `SegEnd` id per CPU ([`EventId::NONE`] when
+/// none); a cancel removes that entry from the calendar and clears the
+/// slot. Schedules keep their original order, so event ids (and with
+/// them the FIFO tie-breaks) are those of an engine that never cancels.
+/// Outbound messages are left in `fx` for the driver to route. Shared by
+/// every kernel driver (`SoloRunner` here, the sharded cluster engine in
+/// `pa-cluster`).
+///
+/// Cancels are rare enough that [`EventQueue::cancel`] is a linear scan:
+/// seed-42 benchmark passes schedule 19.6 M / 39.1 M / 9.38 M events and
+/// cancel 150 / 26 / 82 of them (Fig 3 sweep / Fig 5 sweep / 512-node
+/// Fig 3 point), fewer than one per 10⁵ operations, with per-node
+/// calendars only 8.6 / 12.4 / 8.5 entries deep at their high-water mark.
+///
+/// This and [`pop_event`] are `#[inline]` because the cluster driver calls
+/// them once per event from another crate: out of line, the calls cost
+/// the Fig 5 sweep as much host time as dropping the position map saved.
+#[inline]
+pub fn schedule_effects(
+    queue: &mut EventQueue<KernelEvent>,
+    seg_events: &mut [EventId],
+    fx: &mut Effects,
+) {
+    let mut cancels = fx.cancels.drain(..).peekable();
+    for (idx, (t, ev)) in fx.schedule.drain(..).enumerate() {
+        while let Some(c) = cancels.next_if(|c| c.after as usize <= idx) {
+            cancel_slot(queue, &mut seg_events[c.cpu.0 as usize]);
+        }
+        let seg_cpu = match &ev {
+            KernelEvent::SegEnd { cpu, .. } => Some(cpu.0 as usize),
+            _ => None,
+        };
+        let id = queue.schedule(t, ev);
+        if let Some(c) = seg_cpu {
+            seg_events[c] = id;
+        }
+    }
+    for c in cancels {
+        cancel_slot(queue, &mut seg_events[c.cpu.0 as usize]);
+    }
+}
+
+/// Pop the earliest event from `queue`, clearing its CPU's outstanding
+/// `SegEnd` slot in `seg_events` when it is a segment timer (see
+/// [`schedule_effects`]).
+#[inline]
+pub fn pop_event(
+    queue: &mut EventQueue<KernelEvent>,
+    seg_events: &mut [EventId],
+) -> Option<(SimTime, KernelEvent)> {
+    let (now, ev) = queue.pop()?;
+    if let KernelEvent::SegEnd { cpu, .. } = ev {
+        seg_events[cpu.0 as usize] = EventId::NONE;
+    }
+    Some((now, ev))
 }
 
 /// Cancel the calendar entry in `slot` (if any) and clear the slot.

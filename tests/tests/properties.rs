@@ -167,6 +167,7 @@ struct ModelQueue {
     scheduled: u64,
     popped: u64,
     cancelled: u64,
+    max_pending: u64,
 }
 
 impl ModelQueue {
@@ -178,6 +179,7 @@ impl ModelQueue {
             scheduled: 0,
             popped: 0,
             cancelled: 0,
+            max_pending: 0,
         }
     }
     fn schedule(&mut self, t: u64, value: usize) -> u64 {
@@ -185,13 +187,19 @@ impl ModelQueue {
         self.next_id += 1;
         self.scheduled += 1;
         self.live.push((t, id, value));
+        self.max_pending = self.max_pending.max(self.live.len() as u64);
         id
     }
-    fn cancel(&mut self, id: u64) {
-        if let Some(i) = self.live.iter().position(|&(_, lid, _)| lid == id) {
-            self.live.swap_remove(i);
-            self.cancelled += 1;
-        }
+    fn cancel(&mut self, id: u64) -> bool {
+        let Some(i) = self.live.iter().position(|&(_, lid, _)| lid == id) else {
+            return false;
+        };
+        self.live.swap_remove(i);
+        self.cancelled += 1;
+        true
+    }
+    fn is_pending(&self, id: u64) -> bool {
+        self.live.iter().any(|&(_, lid, _)| lid == id)
     }
     fn pop(&mut self) -> Option<(u64, usize)> {
         let i = (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))?;
@@ -225,9 +233,13 @@ fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
 fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
     let mut q = EventQueue::<usize>::new();
     let mut model = ModelQueue::new();
-    // Parallel id registries for the same logical live entry.
+    // Parallel id registries for the same logical entry. Popped entries
+    // stay registered, so picks also cover ids that have already fired.
     let mut ids: Vec<(pa_simkit::EventId, u64)> = Vec::new();
     for (step, op) in ops.iter().enumerate() {
+        // The registered entry this step's `pick` names; its pendency is
+        // checked after the operation, which may cancel or pop it.
+        let picked = (!ids.is_empty()).then(|| ids[op.pick % ids.len()]);
         match op.kind {
             // schedule (weighted heaviest)
             0..=4 => {
@@ -236,12 +248,16 @@ fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
                 let mid = model.schedule(t, step);
                 ids.push((qid, mid));
             }
-            // cancel a random live entry
+            // cancel a registered entry (pending or already fired)
             5..=6 => {
-                if !ids.is_empty() {
-                    let (qid, mid) = ids.swap_remove(op.pick % ids.len());
-                    q.cancel(qid);
-                    model.cancel(mid);
+                if let Some((qid, mid)) = picked {
+                    ids.swap_remove(op.pick % ids.len());
+                    prop_assert_eq!(
+                        q.cancel(qid),
+                        model.cancel(mid),
+                        "cancel result diverged at step {}",
+                        step
+                    );
                 }
             }
             // advance the clock into the pending future
@@ -264,9 +280,17 @@ fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
                     step
                 );
                 // The popped entry's id pair stays in `ids`; a later
-                // cancel picking it is a no-op in both queue and model,
-                // so the registries remain in lockstep.
+                // cancel picking it must report `false` in both queue and
+                // model, so the registries remain in lockstep.
             }
+        }
+        if let Some((qid, mid)) = picked {
+            prop_assert_eq!(
+                q.is_pending(qid),
+                model.is_pending(mid),
+                "is_pending diverged at step {}",
+                step
+            );
         }
         prop_assert_eq!(
             q.peek_time().map(SimTime::nanos),
@@ -289,6 +313,7 @@ fn check_queue_against_model(ops: &[QueueOp]) -> Result<(), TestCaseError> {
     prop_assert_eq!(s.scheduled, model.scheduled);
     prop_assert_eq!(s.popped, model.popped);
     prop_assert_eq!(s.cancelled, model.cancelled);
+    prop_assert_eq!(s.max_pending, model.max_pending);
     Ok(())
 }
 
